@@ -29,6 +29,7 @@ from .montecarlo import (
     Codebook,
     ReliabilityError,
     SimConfig,
+    _check_budget,
     design_codebook,
     ldp_rate_estimate,
     min_chordal_distance,
@@ -258,7 +259,8 @@ def _cmd_simulate(args, parser: argparse.ArgumentParser) -> dict:
     )
     codebook = None
     if args.codebook == "designed":
-        codebook = design_codebook(cfg.n, 1 << cfg.r_fb, cfg.seed)
+        # The budget is checked before 2^r_fb codewords are designed.
+        codebook = design_codebook(cfg.n, _check_budget(cfg), cfg.seed)
     if args.method == "direct":
         est = simulate_c_direct(cfg, codebook=codebook, threads=args.threads)
     elif args.method == "spectral":

@@ -19,7 +19,13 @@ import math
 
 from scipy.optimize import brentq
 
-from .ratefn import ConsistencyError, RateContext, rate_zero
+from .ratefn import (
+    ConsistencyError,
+    RateContext,
+    _edge_log_moment_lower,
+    _edge_log_moment_upper,
+    rate_zero,
+)
 from .spectra import MpLaw, QuadratureConfig, mp_law
 
 __all__ = [
@@ -154,12 +160,7 @@ def solve_x_by_rate(
         if law.beta >= 1.0:
             w_lo = -2.0 - law.beta * target
         else:
-            lam_log = (
-                0.5 * math.log(law.beta)
-                + (1.0 - 1.0 / law.beta) * math.log1p(-root)
-                - 1.0 / root
-            )
-            w_lo = min(math.log(root * (1.0 - root)), lam_log - target) - 1.0
+            w_lo = min(math.log(root * (1.0 - root)), _edge_log_moment_lower(law) - target) - 1.0
     else:
         edge = law.lambda_plus
 
@@ -167,12 +168,7 @@ def solve_x_by_rate(
             return rate_zero(RateContext(law, edge - math.exp(w), **kwargs)).value - target
 
         # Upper edge branch is edge_log_moment - w once x >= 1 + sqrt(beta).
-        lam_log = (
-            0.5 * math.log(law.beta)
-            + (1.0 - 1.0 / law.beta) * math.log1p(root)
-            + 1.0 / root
-        )
-        w_lo = min(math.log(root * (1.0 + root)), lam_log - target) - 1.0
+        w_lo = min(math.log(root * (1.0 + root)), _edge_log_moment_upper(law) - target) - 1.0
 
     w_hi = math.log(abs(1.0 - edge)) - 1e-9  # just inside x = 1, where the rate is ~0
     if value_at(w_lo) <= 0.0 or value_at(w_hi) >= 0.0:

@@ -27,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.optimize import brentq
 
-from .spectra import sample_spectrum, mp_law
+from .spectra import _SEED_MASK, sample_spectrum, mp_law
 
 __all__ = [
     "Codebook",
@@ -52,7 +52,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_SEED_MASK = (1 << 64) - 1
 
 DIRECT_BUDGET = 5_000_000_000  # max 2^R_fb * n * trials for enumeration paths
 
@@ -239,8 +238,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1:
             raise ValueError(f"n and m must be >= 1, got n={self.n}, m={self.m}")
-        if not 0 <= self.r_fb <= 62:
-            raise ValueError(f"r_fb must be in [0, 62] for enumeration, got {self.r_fb}")
+        if self.r_fb < 0:
+            raise ValueError(f"r_fb must be >= 0, got {self.r_fb}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.mode not in ("min", "max"):
@@ -285,15 +284,14 @@ def _run_trials(trials: int, threads: int, worker) -> np.ndarray:
 
 
 def _check_budget(cfg: SimConfig) -> int:
-    k = 1 << cfg.r_fb
-    work = k * cfg.n * cfg.trials
-    if work > DIRECT_BUDGET:
+    # r_fb is tested first so 2^r_fb is never built for deep feedback.
+    if cfg.r_fb > 62 or (1 << cfg.r_fb) * cfg.n * cfg.trials > DIRECT_BUDGET:
         raise BudgetError(
-            f"enumeration of 2^{cfg.r_fb} codewords x {cfg.trials} trials needs "
-            f"{work:.2e} element ops (budget {DIRECT_BUDGET:.2e}); "
+            f"enumeration of 2^{cfg.r_fb} codewords x n={cfg.n} x {cfg.trials} trials "
+            f"exceeds the budget of {DIRECT_BUDGET:.2e} element ops; "
             "use the conditional-CDF route instead"
         )
-    return k
+    return 1 << cfg.r_fb
 
 
 def simulate_c_direct(cfg: SimConfig, codebook: Codebook | None = None, threads: int = 1) -> Estimate:
@@ -403,83 +401,67 @@ class TiltedCdfResult:
     log_prob: float
     ess: float
     gamma: float
-    used_fallback: bool = False
 
 
-def _tilt_root(coeffs: np.ndarray) -> tuple[float, bool]:
+def _panel(arr: np.ndarray, samples: int, seed: int, role: int) -> np.ndarray:
+    """Standard exponential draws, one row of len(arr) per sample."""
+    return _rng(seed, role).standard_exponential((int(samples), arr.size), method="inv")
+
+
+def _tilt_root(coeffs: np.ndarray) -> float:
     """Tilt gamma centering the weighted exponential sum at zero.
 
     g(gamma) = sum c_i / (1 - gamma c_i) is strictly increasing between the
-    poles, so the root is unique.  The closed-form bulk tilt scaled from the
-    spectrum moments is kept as a defensive fallback.
+    poles 1/c_min < 0 < 1/c_max, so the root is unique.  Each bracket end
+    sits a relative 1e-9 inside its pole, where the pole term outweighs
+    every other term about 1e9-fold, so g changes sign across the bracket
+    for fewer than 1e9 coefficients.  Callers pass x strictly inside the
+    spectrum, which makes c_min < 0 < c_max.
     """
-    cmin = float(coeffs.min())
-    cmax = float(coeffs.max())
-    lo = (1.0 - 1e-9) / cmin
-    hi = (1.0 - 1e-9) / cmax
+    lo = (1.0 - 1e-9) / float(coeffs.min())
+    hi = (1.0 - 1e-9) / float(coeffs.max())
 
     def g(gamma: float) -> float:
         return float(np.sum(coeffs / (1.0 - gamma * coeffs)))
 
     if g(0.0) == 0.0:
-        return 0.0, False
-    try:
-        return float(brentq(g, lo, hi, xtol=1e-13, rtol=8.9e-16)), False
-    except (ValueError, RuntimeError):
-        # Fallback: bulk optimal tilt with beta estimated from the spectrum
-        # variance, clipped into the open range between the poles.
-        beta_hat = max(float(np.var(coeffs)), 1e-6)
-        x_hat = 1.0 - float(coeffs.mean())
-        gamma = (x_hat - 1.0) / (beta_hat * max(abs(x_hat), 1e-12))
-        gamma = min(max(gamma, lo * (1.0 - 1e-6)), hi * (1.0 - 1e-6))
-        return float(gamma), True
+        return 0.0
+    return float(brentq(g, lo, hi, xtol=1e-13, rtol=8.9e-16))
 
 
-def _tail_log_prob(
-    coeffs: np.ndarray,
-    expo: np.ndarray,
-    gamma: float,
-    lower: bool,
-) -> tuple[float, float, float]:
-    """Log tail probability by exact-likelihood-ratio tilting.
+def _log_cdf(arr: np.ndarray, expo: np.ndarray, x: float) -> tuple[float, float, float, float]:
+    """log P(sum (arr_i - x) Y_i <= 0) by exact-likelihood-ratio tilting.
 
-    expo holds standard exponential draws, one row per sample.  Returns
-    (log_prob of the requested side, effective sample size, stderr of the
-    log estimate).
+    expo is a _panel of the spectrum.  The indicator is taken on the rare
+    side of the tilt.  Returns (log_prob, effective sample size, stderr of
+    the rare-side log estimate, gamma).
     """
+    coeffs = arr - x
+    gamma = _tilt_root(coeffs)
     rho = 1.0 - gamma * coeffs
-    scaled = coeffs / rho
-    s = expo @ scaled
+    s = expo @ (coeffs / rho)
     log_w = -float(np.log(rho).sum()) - gamma * s
+    lower = float(coeffs.sum()) >= 0.0
     mask = (s <= 0.0) if lower else (s > 0.0)
     if not mask.any():
-        return -math.inf, 0.0, math.inf
-    lw = log_w[mask]
-    m = float(lw.max())
-    u = np.exp(lw - m)
-    s1 = float(u.sum())
-    s2 = float((u * u).sum())
-    n = expo.shape[0]
-    log_p = m + math.log(s1) - math.log(n)
-    ess = s1 * s1 / s2
-    # stderr of log p from the weight second moment (weights off the event
-    # count as zero).
-    ratio = n * s2 / (s1 * s1) - 1.0
-    se_log = math.sqrt(max(ratio, 0.0) / n)
-    return log_p, ess, se_log
-
-
-def _cdf_log_prob(
-    coeffs: np.ndarray,
-    expo: np.ndarray,
-    gamma: float,
-) -> tuple[float, float, float]:
-    """log P(S <= 0) with the indicator taken on the rare side of the tilt."""
-    if float(coeffs.sum()) >= 0.0:
-        return _tail_log_prob(coeffs, expo, gamma, lower=True)
-    log_q, ess, se = _tail_log_prob(coeffs, expo, gamma, lower=False)
-    q = math.exp(min(log_q, -1e-17))
-    return math.log1p(-min(q, 1.0 - 1e-16)), ess, se
+        log_p, ess, se_log = -math.inf, 0.0, math.inf
+    else:
+        lw = log_w[mask]
+        m = float(lw.max())
+        u = np.exp(lw - m)
+        s1 = float(u.sum())
+        s2 = float((u * u).sum())
+        n = expo.shape[0]
+        log_p = m + math.log(s1) - math.log(n)
+        ess = s1 * s1 / s2
+        # stderr of log p from the weight second moment (weights off the
+        # event count as zero).
+        ratio = n * s2 / (s1 * s1) - 1.0
+        se_log = math.sqrt(max(ratio, 0.0) / n)
+    if not lower:
+        q = math.exp(min(log_p, -1e-17))
+        log_p = math.log1p(-min(q, 1.0 - 1e-16))
+    return log_p, ess, se_log, gamma
 
 
 def conditional_cdf_tilted(lam, x: float, samples: int, seed: int) -> TiltedCdfResult:
@@ -497,22 +479,13 @@ def conditional_cdf_tilted(lam, x: float, samples: int, seed: int) -> TiltedCdfR
         )
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-    coeffs = arr - x
-    gamma, used_fallback = _tilt_root(coeffs)
-    expo = _rng(seed, 11).standard_exponential((int(samples), arr.size), method="inv")
-    log_p, ess, _ = _cdf_log_prob(coeffs, expo, gamma)
+    log_p, ess, _, gamma = _log_cdf(arr, _panel(arr, samples, seed, 11), x)
     if ess < 10.0:
         raise ReliabilityError(
             f"effective sample size {ess:.2f} < 10 at x={x:.6g}; "
             f"increase samples (gamma={gamma:.4g})"
         )
-    return TiltedCdfResult(
-        x=x,
-        log_prob=min(log_p, 0.0),
-        ess=ess,
-        gamma=gamma,
-        used_fallback=used_fallback,
-    )
+    return TiltedCdfResult(x=x, log_prob=min(log_p, 0.0), ess=ess, gamma=gamma)
 
 
 def ldp_rate_estimate(beta: float, x: float, n_list, samples: int, seed: int) -> list[tuple[int, float]]:
@@ -569,8 +542,15 @@ def _survival_power(log_p: float, r_fb: int) -> float:
     return math.exp(-math.exp(log_t))
 
 
-def _refine(xs: list[float], vals: list[float], evaluate, budget: int = 4096) -> tuple[list[float], list[float]]:
-    """Bisect intervals until adjacent integrand values differ by <= 0.2."""
+def _grid_integral(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """Trapezoid integral of f over [lo, hi] on an adaptive grid.
+
+    Starts from 64 even nodes (f_lo and f_hi are the known end values) and
+    bisects intervals until adjacent integrand values differ by <= 0.2.
+    """
+    inner = np.linspace(lo, hi, 64)[1:-1]
+    xs = [lo, *map(float, inner), hi]
+    vals = [f_lo, *(f(float(x)) for x in inner), f_hi]
     while True:
         splits = [
             i
@@ -578,22 +558,61 @@ def _refine(xs: list[float], vals: list[float], evaluate, budget: int = 4096) ->
             if abs(vals[i + 1] - vals[i]) > 0.2 and (xs[i + 1] - xs[i]) > 1e-12
         ]
         if not splits:
-            return xs, vals
-        if len(xs) + len(splits) > budget:
-            raise BudgetError(
-                f"integration grid would exceed {budget} nodes; integrand too sharp"
-            )
+            break
+        if len(xs) + len(splits) > 4096:
+            raise BudgetError("integration grid would exceed 4096 nodes; integrand too sharp")
         for offset, i in enumerate(splits):
             mid = 0.5 * (xs[i + offset] + xs[i + offset + 1])
             xs.insert(i + offset + 1, mid)
-            vals.insert(i + offset + 1, evaluate(mid))
-
-
-def _trapezoid(xs: list[float], vals: list[float]) -> float:
+            vals.insert(i + offset + 1, f(mid))
     total = 0.0
     for i in range(len(xs) - 1):
         total += 0.5 * (vals[i] + vals[i + 1]) * (xs[i + 1] - xs[i])
     return total
+
+
+def _level_bisect(arr: np.ndarray, expo: np.ndarray, target: float, se_stop: bool) -> float:
+    """Level x with log_cdf(x) = target, by bisection on one panel.
+
+    Common random numbers keep the estimated CDF monotone in x.  The search
+    stays strictly inside the spectrum, where the tilt root exists; se_stop
+    also ends it once the estimate is within one standard error of target.
+    """
+    lmin = float(arr.min())
+    lmax = float(arr.max())
+    span = lmax - lmin
+    a = max(lmin + 1e-9 * span, float(np.nextafter(lmin, lmax)))
+    b = min(lmax - 1e-9 * span, float(np.nextafter(lmax, lmin)))
+    if _log_cdf(arr, expo, a)[0] >= target:
+        return a
+    if _log_cdf(arr, expo, b)[0] <= target:
+        return b
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        if (b - a) <= 1e-9 * span:
+            return mid
+        log_p, _, se, _ = _log_cdf(arr, expo, mid)
+        if se_stop and abs(log_p - target) <= se:
+            return mid
+        if log_p < target:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+def _min_or_mirrored_max(fn, lam, r_fb: int, mode: str, samples: int, seed: int) -> float:
+    """Validate, then run fn on the spectrum (min) or its negation (max)."""
+    arr = _as_spectrum(lam)
+    if r_fb < 0:
+        raise ValueError(f"r_fb must be >= 0, got {r_fb}")
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2, got {samples}")
+    if mode == "min":
+        return fn(arr, r_fb, samples, seed)
+    if mode == "max":
+        return -fn(-arr, r_fb, samples, seed)
+    raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
 
 
 def _c_min_via_cdf(arr: np.ndarray, r_fb: int, samples: int, seed: int) -> float:
@@ -604,19 +623,12 @@ def _c_min_via_cdf(arr: np.ndarray, r_fb: int, samples: int, seed: int) -> float
     if r_fb == 0:
         # One codeword: the ratio has mean equal to the spectrum average.
         return float(arr.mean())
-    expo = _rng(seed, 12).standard_exponential((int(samples), arr.size), method="inv")
+    expo = _panel(arr, samples, seed, 12)
 
     def integrand(x: float) -> float:
-        coeffs = arr - x
-        gamma, _ = _tilt_root(coeffs)
-        log_p, _, _ = _cdf_log_prob(coeffs, expo, gamma)
-        return _survival_power(log_p, r_fb)
+        return _survival_power(_log_cdf(arr, expo, x)[0], r_fb)
 
-    inner = np.linspace(lmin, lmax, 64)[1:-1]
-    xs = [lmin, *map(float, inner), lmax]
-    vals = [1.0, *(integrand(float(x)) for x in inner), 0.0]
-    xs, vals = _refine(xs, vals, integrand)
-    return lmin + _trapezoid(xs, vals)
+    return lmin + _grid_integral(integrand, lmin, lmax, 1.0, 0.0)
 
 
 def c_rand_via_cdf(lam, r_fb: int, mode: str, samples: int, seed: int) -> float:
@@ -628,16 +640,7 @@ def c_rand_via_cdf(lam, r_fb: int, mode: str, samples: int, seed: int) -> float:
     Feedback depths far beyond enumeration are fine since 2^r_fb only ever
     appears inside logarithms.
     """
-    arr = _as_spectrum(lam)
-    if r_fb < 0:
-        raise ValueError(f"r_fb must be >= 0, got {r_fb}")
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
-    if mode == "min":
-        return _c_min_via_cdf(arr, r_fb, samples, seed)
-    if mode == "max":
-        return -_c_min_via_cdf(-arr, r_fb, samples, seed)
-    raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+    return _min_or_mirrored_max(_c_min_via_cdf, lam, r_fb, mode, samples, seed)
 
 
 def quantile_x_n(lam, p: float, seed: int, samples: int = 20000) -> float:
@@ -649,86 +652,30 @@ def quantile_x_n(lam, p: float, seed: int, samples: int = 20000) -> float:
     arr = _as_spectrum(lam)
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must be in (0, 1), got {p!r}")
-    lmin = float(arr.min())
-    lmax = float(arr.max())
-    span = lmax - lmin
-    if span <= 0.0:
+    if float(arr.min()) == float(arr.max()):
         raise ValueError("spectrum is degenerate; the quantile is not defined")
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-    expo = _rng(seed, 13).standard_exponential((int(samples), arr.size), method="inv")
-    target = math.log(p)
-
-    def log_cdf(x: float) -> tuple[float, float]:
-        coeffs = arr - x
-        gamma, _ = _tilt_root(coeffs)
-        log_p, _, se = _cdf_log_prob(coeffs, expo, gamma)
-        return log_p, se
-
-    a = lmin + 1e-9 * span
-    b = lmax - 1e-9 * span
-    fa, _ = log_cdf(a)
-    if fa >= target:
-        return a
-    fb, _ = log_cdf(b)
-    if fb <= target:
-        return b
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        fm, se = log_cdf(mid)
-        if abs(fm - target) <= se or (b - a) <= 1e-9 * span:
-            return mid
-        if fm < target:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    return _level_bisect(arr, _panel(arr, samples, seed, 13), math.log(p), se_stop=True)
 
 
 def _uniform_min_bound(arr: np.ndarray, r_fb: int, samples: int, seed: int) -> float:
     if r_fb == 0:
         return float(arr.mean())
     lmin = float(arr.min())
-    expo = _rng(seed, 14).standard_exponential((int(samples), arr.size), method="inv")
-
-    def log_cdf(x: float) -> float:
-        coeffs = arr - x
-        gamma, _ = _tilt_root(coeffs)
-        log_p, _, _ = _cdf_log_prob(coeffs, expo, gamma)
-        return log_p
-
-    # Quantile at 2^-r_fb with the same exponential panel.
-    lmax = float(arr.max())
-    span = lmax - lmin
-    target = -r_fb * _LN2
-    a = lmin + 1e-9 * span
-    b = lmax - 1e-9 * span
-    if log_cdf(a) >= target:
-        xq = a
-    elif log_cdf(b) <= target:
-        xq = b
-    else:
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            if (b - a) <= 1e-9 * span:
-                break
-            if log_cdf(mid) < target:
-                a = mid
-            else:
-                b = mid
-        xq = 0.5 * (a + b)
+    if lmin == float(arr.max()):
+        return lmin  # every quadratic form equals lmin
+    expo = _panel(arr, samples, seed, 14)
 
     def integrand(x: float) -> float:
         # min(2^r_fb mu(x), 1), evaluated in logs.
-        return math.exp(min(0.0, r_fb * _LN2 + log_cdf(x)))
+        return math.exp(min(0.0, r_fb * _LN2 + _log_cdf(arr, expo, x)[0]))
 
+    # Quantile at 2^-r_fb with the same exponential panel.
+    xq = _level_bisect(arr, expo, -r_fb * _LN2, se_stop=False)
     if xq - lmin <= 1e-12 * max(1.0, abs(lmin)):
         return xq
-    inner = np.linspace(lmin, xq, 64)[1:-1]
-    xs = [lmin, *map(float, inner), xq]
-    vals = [0.0, *(integrand(float(x)) for x in inner), integrand(xq)]
-    xs, vals = _refine(xs, vals, integrand)
-    return xq - _trapezoid(xs, vals)
+    return xq - _grid_integral(integrand, lmin, xq, 0.0, integrand(xq))
 
 
 def uniform_codebook_bound(lam, r_fb: int, mode: str, seed: int, samples: int = 20000) -> float:
@@ -738,13 +685,4 @@ def uniform_codebook_bound(lam, r_fb: int, mode: str, seed: int, samples: int = 
     2^r_fb codewords under the isotropic selection statistics; mode 'max'
     gives the mirrored upper bound.  r_fb = 0 returns the conditional mean.
     """
-    arr = _as_spectrum(lam)
-    if r_fb < 0:
-        raise ValueError(f"r_fb must be >= 0, got {r_fb}")
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
-    if mode == "min":
-        return _uniform_min_bound(arr, r_fb, samples, seed)
-    if mode == "max":
-        return -_uniform_min_bound(-arr, r_fb, samples, seed)
-    raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+    return _min_or_mirrored_max(_uniform_min_bound, lam, r_fb, mode, samples, seed)

@@ -79,6 +79,19 @@ def test_budget_refusal_exits_5():
     assert "budget" in err.lower() or "cdf" in err.lower()
 
 
+def test_cdf_route_takes_feedback_deeper_than_enumeration():
+    code, out, _ = run(["simulate", "--method", "cdf", "--n", "100", "--m", "50",
+                        "--r-fb", "100", "--trials", "2", "--samples", "2000",
+                        "--format", "json"])
+    assert code == 0
+    assert math.isfinite(RunRecord.from_json(out).payload["mean"])
+    for extra in ([], ["--codebook", "designed"]):
+        code, _, err = run(["simulate", "--method", "direct", "--n", "8", "--m", "8",
+                            "--r-fb", "63", *extra])
+        assert code == 5
+        assert "cdf" in err.lower()
+
+
 # ---------------------------------------------------------------------------
 # asymptotic command
 

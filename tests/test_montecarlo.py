@@ -136,7 +136,6 @@ def test_sim_config_validation():
         ("n", 0),
         ("m", -1),
         ("r_fb", -1),
-        ("r_fb", 63),
         ("trials", 0),
         ("mode", "avg"),
     ):
@@ -151,6 +150,17 @@ def test_direct_budget_refusal_points_at_cdf_route():
     with pytest.raises(BudgetError) as exc:
         simulate_c_direct(cfg)
     assert "CDF" in str(exc.value) or "cdf" in str(exc.value).lower()
+
+
+def test_enumeration_refuses_deep_feedback_but_cdf_route_runs():
+    # 2^63 codewords never fit; only the enumeration routes enforce that.
+    cfg = SimConfig(n=4, m=4, r_fb=63, trials=1, seed=0, mode="min")
+    for simulate in (simulate_c_direct, simulate_c_spectral):
+        with pytest.raises(BudgetError, match="conditional-CDF route"):
+            simulate(cfg)
+    deep = SimConfig(n=100, m=50, r_fb=100, trials=1, seed=0, mode="min")
+    est = simulate_c_cdf(deep, samples=2000)
+    assert 0.0 < est.mean < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +313,38 @@ def test_tilted_reaches_where_plain_mc_cannot():
     assert res.log_prob < -40.0
 
 
+def test_tilted_at_the_spectrum_edges():
+    # 16 tied zero eigenvalues at the lower edge; the tilt root must still
+    # land strictly between its poles 1/(lmin - x) and 1/(lmax - x).
+    lam = sample_spectrum(32, 16, seed=0).eigenvalues
+    lmin, lmax = float(lam.min()), float(lam.max())
+    span = lmax - lmin
+    for x in (lmin + 1e-9 * span, lmax - 1e-9 * span):
+        res = conditional_cdf_tilted(lam, x, 20000, seed=0)
+        assert math.isfinite(res.log_prob)
+        assert 1.0 / (lmin - x) < res.gamma < 1.0 / (lmax - x)
+        assert res.ess >= 10.0
+
+
+def test_tilted_cdf_outputs_are_pinned():
+    # Seeded outputs of every tilted-CDF entry point on one spectrum, pinned
+    # so that restructuring the shared evaluator cannot move them.
+    lam = sample_spectrum(48, 24, seed=0).eigenvalues
+    res = conditional_cdf_tilted(lam, 0.25, 4000, seed=1)
+    assert res.log_prob == pytest.approx(-17.713217262639102, rel=1e-12)
+    assert res.ess == pytest.approx(687.5802796088747, rel=1e-12)
+    assert res.gamma == pytest.approx(-1.4983201937868915, rel=1e-12)
+    assert c_rand_via_cdf(lam, 24, "min", 4000, seed=2) == pytest.approx(0.25807934382059544, rel=1e-12)
+    assert c_rand_via_cdf(lam, 24, "max", 4000, seed=2) == pytest.approx(2.473917803745041, rel=1e-12)
+    assert quantile_x_n(lam, 2.0**-24, seed=3, samples=4000) == pytest.approx(0.2647461499432686, rel=1e-12)
+    assert uniform_codebook_bound(lam, 24, "min", seed=4, samples=4000) == pytest.approx(
+        0.25049258716817396, rel=1e-12
+    )
+    assert uniform_codebook_bound(lam, 24, "max", seed=4, samples=4000) == pytest.approx(
+        2.4990897610777867, rel=1e-12
+    )
+
+
 def test_tilted_domain_and_reliability_errors():
     with pytest.raises(ValueError):
         conditional_cdf_tilted(TWO_POINT, 2.5, 1000, seed=0)
@@ -391,6 +433,25 @@ def test_quantile_small_p():
     p = 2.0**-20
     got = quantile_x_n(TWO_POINT, p, seed=12)
     assert got == pytest.approx(2.0 * p, rel=0.05)
+
+
+@pytest.mark.parametrize("width", [1e-8, 1e-13])
+def test_level_search_on_narrow_spectra(width):
+    # lmin + 1e-9 * span rounds back to lmin here; the search must still
+    # stay strictly inside the spectrum.
+    lam = np.array([1.0, 1.0 + width, 1.0 + 0.5 * width])
+    lmin, lmax = float(lam.min()), float(lam.max())
+    q = quantile_x_n(lam, 0.01, seed=0, samples=100)
+    assert lmin < q < lmax
+    for mode in ("min", "max"):
+        bound = uniform_codebook_bound(lam, 4, mode, seed=0, samples=100)
+        assert lmin <= bound <= lmax
+
+
+def test_uniform_bound_on_a_flat_spectrum():
+    lam = np.full(5, 0.7)
+    assert uniform_codebook_bound(lam, 4, "min", seed=0) == 0.7
+    assert uniform_codebook_bound(lam, 4, "max", seed=0) == 0.7
 
 
 def test_quantile_validation():
