@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import io
 import json
+import math
 import sys
 import time
 
@@ -207,21 +208,30 @@ _MINUS_COLS = ("x_minus", "c_min", "branch_minus", "throughput_cdma_min")
 _PLUS_COLS = ("x_plus", "c_max", "branch_plus", "throughput_mimo_max")
 
 
+def _require_positive(parser: argparse.ArgumentParser, flag: str, value: float | None) -> None:
+    if value is not None and not (math.isfinite(value) and value > 0.0):
+        parser.error(f"{flag} must be finite and positive, got {value}")
+
+
+def _parse_list(parser: argparse.ArgumentParser, flag: str, text: str, kind: type) -> list:
+    try:
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        parser.error(f"{flag} must be a comma-separated list of {kind.__name__}s, got {text!r}")
+
+
 def _cmd_asymptotic(args, parser: argparse.ArgumentParser) -> dict:
-    if args.beta <= 0.0:
-        parser.error(f"--beta must be positive, got {args.beta}")
-    if args.rate <= 0.0:
-        parser.error(f"--rate must be positive, got {args.rate}")
-    if args.sigma2 is not None and args.sigma2 <= 0.0:
-        parser.error(f"--sigma2 must be positive, got {args.sigma2}")
+    _require_positive(parser, "--beta", args.beta)
+    _require_positive(parser, "--rate", args.rate)
+    _require_positive(parser, "--sigma2", args.sigma2)
     return _limit_fields(args.beta, args.rate, args.sigma2)
 
 
 def _cmd_sweep(args, parser: argparse.ArgumentParser) -> dict:
-    if args.beta <= 0.0:
-        parser.error(f"--beta must be positive, got {args.beta}")
+    _require_positive(parser, "--beta", args.beta)
+    _require_positive(parser, "--sigma2", args.sigma2)
     if args.rates is not None:
-        rates = [float(tok) for tok in args.rates.split(",") if tok.strip()]
+        rates = _parse_list(parser, "--rates", args.rates, float)
     elif args.rate_min is not None and args.rate_max is not None:
         if args.points < 2:
             parser.error(f"--points must be >= 2, got {args.points}")
@@ -232,8 +242,8 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> dict:
         parser.error("give either --rates or both --rate-min and --rate-max")
     if not rates:
         parser.error("the rate list is empty")
-    if min(rates) <= 0.0:
-        parser.error("sweep rates must all be positive")
+    if not all(math.isfinite(r) and r > 0.0 for r in rates):
+        parser.error("sweep rates must all be finite and positive")
     drop: tuple[str, ...] = ()
     if args.mode == "min":
         drop = _PLUS_COLS
@@ -305,15 +315,14 @@ def _cmd_design(args, parser: argparse.ArgumentParser) -> dict:
 
 
 def _cmd_ldp(args, parser: argparse.ArgumentParser) -> dict:
-    if args.beta <= 0.0:
-        parser.error(f"--beta must be positive, got {args.beta}")
+    _require_positive(parser, "--beta", args.beta)
     law = mp_law(args.beta)
     if not (law.lambda_t_minus < args.x < law.lambda_plus) or args.x == 1.0:
         parser.error(
             f"--x must lie in ({law.lambda_t_minus:.6g}, {law.lambda_plus:.6g}) "
             "and away from the mean at 1"
         )
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
+    sizes = _parse_list(parser, "--sizes", args.sizes, int)
     if not sizes:
         parser.error("--sizes must list at least one size")
     limit = rate_zero(RateContext(law=law, x=args.x)).value
@@ -401,6 +410,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads < 1:
+            parser.error(f"--threads must be >= 1, got {args.threads}")
     except SystemExit as exc:
         return int(exc.code or 0)
 

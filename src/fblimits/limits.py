@@ -17,8 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from scipy.optimize import brentq
-
+from ._brent import brentq
 from .ratefn import (
     ConsistencyError,
     RateContext,
@@ -98,7 +97,7 @@ def _fixed_point(beta: float, r: float, side: str) -> float:
     else:
         lo = 0.0
         hi = 2.0 * math.log1p(math.sqrt(beta))  # u at the upper support edge
-    u = float(brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    u = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
     return math.exp(u)
 
 
@@ -175,7 +174,7 @@ def solve_x_by_rate(
         raise ConsistencyError(
             f"rate equation bracket failed for beta={beta}, r={r}, side={side}"
         )
-    w = float(brentq(value_at, w_lo, w_hi, xtol=1e-13, rtol=8.9e-16))
+    w = brentq(value_at, w_lo, w_hi, xtol=1e-13, rtol=8.9e-16)
     x = edge + math.exp(w) if side == "minus" else edge - math.exp(w)
     return x
 

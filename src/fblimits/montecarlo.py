@@ -25,8 +25,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._brent import brentq
 from .spectra import _SEED_MASK, sample_spectrum, mp_law
 
 __all__ = [
@@ -422,11 +422,11 @@ def _tilt_root(coeffs: np.ndarray) -> float:
     hi = (1.0 - 1e-9) / float(coeffs.max())
 
     def g(gamma: float) -> float:
-        return float(np.sum(coeffs / (1.0 - gamma * coeffs)))
+        return float((coeffs / (1.0 - gamma * coeffs)).sum())
 
     if g(0.0) == 0.0:
         return 0.0
-    return float(brentq(g, lo, hi, xtol=1e-13, rtol=8.9e-16))
+    return brentq(g, lo, hi, xtol=1e-13, rtol=8.9e-16)
 
 
 def _log_cdf(arr: np.ndarray, expo: np.ndarray, x: float) -> tuple[float, float, float, float]:

@@ -22,8 +22,8 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._brent import brentq
 from .spectra import DEFAULT_QUADRATURE, MpLaw, QuadratureConfig, mp_integrate
 
 __all__ = [
@@ -327,7 +327,7 @@ def rate_function(ctx: RateContext, t: float) -> LegendrePoint:
         return LegendrePoint(alpha_star=end, value=max(value, 0.0), t=t, boundary_hit=True)
 
     a, b = (bracketed, 0.0) if t < mean_gap else (0.0, bracketed)
-    alpha = float(brentq(lambda al: cgf_prime(ctx, al) - t, a, b, xtol=1e-12, rtol=8.9e-16))
+    alpha = brentq(lambda al: cgf_prime(ctx, al) - t, a, b, xtol=1e-12, rtol=8.9e-16)
     value = alpha * t - cgf(ctx, alpha)
     if value < -1e-9:
         raise ConsistencyError(f"negative transform value {value!r} at t={t!r}")

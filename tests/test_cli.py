@@ -51,6 +51,15 @@ def test_no_command_is_usage_error():
         ["ldp", "--beta", "1", "--x", "1.0", "--sizes", "50"],
         ["ldp", "--beta", "1", "--x", "9.9", "--sizes", "50"],
         ["design", "--n", "0", "--size", "4", "--codebook-out", "x.txt"],
+        ["sweep", "--beta", "1", "--rates", "0.5,abc"],
+        ["ldp", "--beta", "1", "--x", "0.5", "--sizes", "50,x"],
+        ["asymptotic", "--beta", "nan", "--rate", "1"],
+        ["asymptotic", "--beta", "1", "--rate", "inf"],
+        ["asymptotic", "--beta", "1", "--rate", "1", "--sigma2", "nan"],
+        ["sweep", "--beta", "1", "--rates", "nan"],
+        ["asymptotic", "--beta", "1", "--rate", "1", "--threads", "0"],
+        ["asymptotic", "--beta", "1", "--rate", "1", "--threads", "-5"],
+        ["sweep", "--beta", "1", "--rates", "0.5", "--sigma2", "-1"],
     ),
 )
 def test_usage_errors_exit_2(argv):
