@@ -12,111 +12,12 @@ The package splits into four layers:
   and codebook construction used to verify the asymptotes.
 """
 
-from .spectra import (
-    DEFAULT_QUADRATURE,
-    EigenSolverError,
-    MpLaw,
-    QuadratureConfig,
-    QuadratureError,
-    SpectrumSample,
-    mp_integrate,
-    mp_law,
-    sample_spectrum,
-)
-from .ratefn import (
-    ConsistencyError,
-    LegendrePoint,
-    RateContext,
-    cgf,
-    cgf_prime,
-    cgf_prime_closed,
-    eta_integral,
-    f_kernel,
-    optimal_tilt,
-    rate_function,
-    rate_zero,
-    shannon_integral,
-)
-from .limits import (
-    AsymptoticResult,
-    asymptotic_limits,
-    solve_x_by_rate,
-    solve_x_minus,
-    solve_x_plus,
-    thresholds,
-    throughput,
-)
-from .montecarlo import (
-    DIRECT_BUDGET,
-    BudgetError,
-    Codebook,
-    Estimate,
-    ReliabilityError,
-    SimConfig,
-    TiltedCdfResult,
-    c_rand_via_cdf,
-    conditional_cdf_mc,
-    conditional_cdf_tilted,
-    design_codebook,
-    ldp_rate_estimate,
-    min_chordal_distance,
-    quantile_x_n,
-    random_codebook,
-    simulate_c_cdf,
-    simulate_c_direct,
-    simulate_c_spectral,
-    uniform_codebook_bound,
-)
+from . import spectra, ratefn, limits, montecarlo
+from .spectra import *
+from .ratefn import *
+from .limits import *
+from .montecarlo import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "DEFAULT_QUADRATURE",
-    "EigenSolverError",
-    "MpLaw",
-    "QuadratureConfig",
-    "QuadratureError",
-    "SpectrumSample",
-    "mp_integrate",
-    "mp_law",
-    "sample_spectrum",
-    "ConsistencyError",
-    "LegendrePoint",
-    "RateContext",
-    "cgf",
-    "cgf_prime",
-    "cgf_prime_closed",
-    "eta_integral",
-    "f_kernel",
-    "optimal_tilt",
-    "rate_function",
-    "rate_zero",
-    "shannon_integral",
-    "AsymptoticResult",
-    "asymptotic_limits",
-    "solve_x_by_rate",
-    "solve_x_minus",
-    "solve_x_plus",
-    "thresholds",
-    "throughput",
-    "DIRECT_BUDGET",
-    "BudgetError",
-    "Codebook",
-    "Estimate",
-    "ReliabilityError",
-    "SimConfig",
-    "TiltedCdfResult",
-    "c_rand_via_cdf",
-    "conditional_cdf_mc",
-    "conditional_cdf_tilted",
-    "design_codebook",
-    "ldp_rate_estimate",
-    "min_chordal_distance",
-    "quantile_x_n",
-    "random_codebook",
-    "simulate_c_cdf",
-    "simulate_c_direct",
-    "simulate_c_spectral",
-    "uniform_codebook_bound",
-]
+__all__ = ["__version__", *spectra.__all__, *ratefn.__all__, *limits.__all__, *montecarlo.__all__]

@@ -1,9 +1,10 @@
 """Command line front end.
 
 Every subcommand emits a single run record carrying the command name, the
-parameters it actually used, the seed, the package version, and the wall
-time, so a result file is reproducible on its own.  Records serialize to
-JSON (default) or CSV; CSV keeps the provenance in a leading comment line.
+parameters it actually used, the seed (null for the deterministic
+asymptotic and sweep), the package version, and the wall time, so a result
+file is reproducible on its own.  Records serialize to JSON (default) or
+CSV; CSV keeps the provenance in a leading comment line.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 numeric or consistency failure,
 5 compute-budget refusal.
@@ -33,7 +34,6 @@ from .montecarlo import (
     _check_budget,
     design_codebook,
     ldp_rate_estimate,
-    min_chordal_distance,
     random_codebook,
     simulate_c_cdf,
     simulate_c_direct,
@@ -154,6 +154,7 @@ def save_codebook(codebook: Codebook, path: str) -> None:
 
 
 def load_codebook(path: str) -> Codebook:
+    """Read a file written by save_codebook; its min_chordal field is not read."""
     with open(path) as fh:
         raw = fh.read().splitlines()
     if not raw or raw[0] != _CODEBOOK_MAGIC:
@@ -164,7 +165,6 @@ def load_codebook(path: str) -> Codebook:
         size = int(meta["size"])
         seed = int(meta["seed"])
         kind = meta["kind"]
-        mc = None if meta["min_chordal"] == "none" else float(meta["min_chordal"])
     except (IndexError, KeyError, ValueError) as exc:
         raise ValueError(f"{path}: malformed codebook header") from exc
     data = [ln.split() for ln in raw[2:] if ln.strip()]
@@ -177,7 +177,7 @@ def load_codebook(path: str) -> Codebook:
     norms = np.linalg.norm(vectors, axis=1)
     if np.abs(norms - 1.0).max() > 1e-9:
         raise ValueError(f"{path}: codewords are not unit norm")
-    return Codebook(n=n, vectors=vectors, kind=kind, seed=seed, min_chordal=mc)
+    return Codebook(n=n, vectors=vectors, kind=kind, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +257,8 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> dict:
 
 
 def _cmd_simulate(args, parser: argparse.ArgumentParser) -> dict:
+    if args.threads < 1:
+        parser.error(f"--threads must be >= 1, got {args.threads}")
     if args.codebook != "random" and args.method != "direct":
         parser.error("--codebook designed applies only to --method direct")
     cfg = SimConfig(
@@ -302,14 +304,13 @@ def _cmd_design(args, parser: argparse.ArgumentParser) -> dict:
         parser.error("--n, --size and --iterations must all be >= 1")
     codebook = design_codebook(args.n, args.size, args.seed, iterations=args.iterations)
     baseline = random_codebook(args.n, args.size, args.seed)
-    baseline_mc = min_chordal_distance(baseline) if args.size >= 2 else None
     save_codebook(codebook, args.codebook_out)
     return {
         "n": args.n,
         "size": args.size,
         "iterations": args.iterations,
         "min_chordal": codebook.min_chordal,
-        "min_chordal_random": baseline_mc,
+        "min_chordal_random": baseline.min_chordal,
         "codebook_path": args.codebook_out,
     }
 
@@ -343,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", help="write the run record here instead of stdout")
 
@@ -378,6 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="designed packs a codebook first (direct method only)",
     )
     sp.add_argument("--samples", type=int, default=20000, help="CDF-route sample panel size")
+    sp.add_argument("--threads", type=int, default=1, help="worker threads; never changes results")
+    sp.add_argument("--seed", type=int, default=0)
     common(sp)
 
     sp = sub.add_parser("design", help="pack a codebook and write it to a file")
@@ -385,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--size", type=int, required=True)
     sp.add_argument("--iterations", type=int, default=800)
     sp.add_argument("--codebook-out", required=True)
+    sp.add_argument("--seed", type=int, default=0)
     common(sp)
 
     sp = sub.add_parser("ldp", help="empirical tail decay rates against the rate function")
@@ -392,6 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--sizes", default="50,100,200", help="comma-separated spectrum sizes")
     sp.add_argument("--samples", type=int, default=20000)
+    sp.add_argument("--seed", type=int, default=0)
     common(sp)
 
     return parser
@@ -410,8 +413,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            parser.error(f"--threads must be >= 1, got {args.threads}")
     except SystemExit as exc:
         return int(exc.code or 0)
 

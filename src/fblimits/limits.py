@@ -25,7 +25,7 @@ from .ratefn import (
     _edge_log_moment_upper,
     rate_zero,
 )
-from .spectra import MpLaw, QuadratureConfig, mp_law
+from .spectra import mp_law
 
 __all__ = [
     "AsymptoticResult",
@@ -102,37 +102,34 @@ def _fixed_point(beta: float, r: float, side: str) -> float:
 
 
 def solve_x_minus(beta: float, r: float) -> tuple[float, str]:
-    """Lower level x_r_minus and the branch ('explicit' or 'fixed_point')."""
+    """Lower level x_r_minus and the branch ('explicit' or 'fixed_point').
+
+    The explicit branch inverts the lower-edge rate at zero,
+    integral log(lam - lambda_minus) d mu - log(x - lambda_minus) = r log 2.
+    """
     _check_beta_r(beta, r)
     r_min, _ = thresholds(beta)
     if r_min is not None and r > r_min:
-        root = math.sqrt(beta)
-        x = (1.0 - root) ** 2 + root * (1.0 - root) ** (1.0 - 1.0 / beta) * math.exp(
-            -1.0 / root - r * _LN2
-        )
-        return x, "explicit"
+        law = mp_law(beta)
+        return law.lambda_minus + math.exp(_edge_log_moment_lower(law) - r * _LN2), "explicit"
     return _fixed_point(beta, r, "minus"), "fixed_point"
 
 
 def solve_x_plus(beta: float, r: float) -> tuple[float, str]:
-    """Upper level x_r_plus and the branch ('explicit' or 'fixed_point')."""
+    """Upper level x_r_plus and the branch ('explicit' or 'fixed_point').
+
+    The explicit branch inverts the upper-edge rate at zero,
+    integral log(lambda_plus - lam) d mu - log(lambda_plus - x) = r log 2.
+    """
     _check_beta_r(beta, r)
     _, r_max = thresholds(beta)
     if r > r_max:
-        root = math.sqrt(beta)
-        x = (1.0 + root) ** 2 - root * (1.0 + root) ** (1.0 - 1.0 / beta) * math.exp(
-            1.0 / root - r * _LN2
-        )
-        return x, "explicit"
+        law = mp_law(beta)
+        return law.lambda_plus - math.exp(_edge_log_moment_upper(law) - r * _LN2), "explicit"
     return _fixed_point(beta, r, "plus"), "fixed_point"
 
 
-def solve_x_by_rate(
-    beta: float,
-    r: float,
-    side: str,
-    cfg: QuadratureConfig | None = None,
-) -> float:
+def solve_x_by_rate(beta: float, r: float, side: str) -> float:
     """Invert rate_zero(x) = r log 2 directly, without the explicit formulas.
 
     Serves as the independent route against solve_x_minus / solve_x_plus.
@@ -145,13 +142,12 @@ def solve_x_by_rate(
     law = mp_law(beta)
     target = r * _LN2
     root = math.sqrt(beta)
-    kwargs = {} if cfg is None else {"cfg": cfg}
 
     if side == "minus":
         edge = law.lambda_t_minus
 
         def value_at(w: float) -> float:
-            return rate_zero(RateContext(law, edge + math.exp(w), **kwargs)).value - target
+            return rate_zero(RateContext(law, edge + math.exp(w))).value - target
 
         # Guaranteed-sign left bracket: for beta >= 1 the interior rate obeys
         # rate(e^w) >= (-1 - w)/beta, for beta < 1 the lower edge branch is
@@ -164,7 +160,7 @@ def solve_x_by_rate(
         edge = law.lambda_plus
 
         def value_at(w: float) -> float:
-            return rate_zero(RateContext(law, edge - math.exp(w), **kwargs)).value - target
+            return rate_zero(RateContext(law, edge - math.exp(w))).value - target
 
         # Upper edge branch is edge_log_moment - w once x >= 1 + sqrt(beta).
         w_lo = min(math.log(root * (1.0 + root)), _edge_log_moment_upper(law) - target) - 1.0
@@ -179,31 +175,24 @@ def solve_x_by_rate(
     return x
 
 
-def asymptotic_limits(
-    beta: float,
-    r: float,
-    cfg: QuadratureConfig | None = None,
-    validate: bool = True,
-) -> AsymptoticResult:
+def asymptotic_limits(beta: float, r: float) -> AsymptoticResult:
     """Solve both levels and scale them into performance limits.
 
-    With validate=True (default) each level is substituted back into the
-    rate at zero; residuals beyond 1e-8 raise ConsistencyError.
+    Each level is substituted back into the rate at zero; residuals beyond
+    1e-8 raise ConsistencyError.
     """
     x_minus, branch_minus = solve_x_minus(beta, r)
     x_plus, branch_plus = solve_x_plus(beta, r)
     r_min, r_max = thresholds(beta)
-    if validate:
-        law = mp_law(beta)
-        kwargs = {} if cfg is None else {"cfg": cfg}
-        target = r * _LN2
-        res_minus = rate_zero(RateContext(law, x_minus, **kwargs)).value - target
-        res_plus = rate_zero(RateContext(law, x_plus, **kwargs)).value - target
-        if abs(res_minus) > 1e-8 or abs(res_plus) > 1e-8:
-            raise ConsistencyError(
-                f"defining-equation residuals too large at beta={beta}, r={r}: "
-                f"minus {res_minus:.3e}, plus {res_plus:.3e}"
-            )
+    law = mp_law(beta)
+    target = r * _LN2
+    res_minus = rate_zero(RateContext(law, x_minus)).value - target
+    res_plus = rate_zero(RateContext(law, x_plus)).value - target
+    if abs(res_minus) > 1e-8 or abs(res_plus) > 1e-8:
+        raise ConsistencyError(
+            f"defining-equation residuals too large at beta={beta}, r={r}: "
+            f"minus {res_minus:.3e}, plus {res_plus:.3e}"
+        )
     return AsymptoticResult(
         beta=beta,
         r=r,

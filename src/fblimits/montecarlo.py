@@ -21,6 +21,7 @@ the number of worker threads.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -83,20 +84,26 @@ def _child_seed(seed: int, *path: int) -> int:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Codebook:
-    """K unit-norm codewords in C^n, one per row of `vectors`.
-
-    min_chordal is None for a single codeword.
-    """
+    """K unit-norm codewords in C^n, one per row of `vectors`."""
 
     n: int
     vectors: np.ndarray
     kind: str
     seed: int
-    min_chordal: float | None
 
     @property
     def size(self) -> int:
         return self.vectors.shape[0]
+
+    @functools.cached_property
+    def min_chordal(self) -> float | None:
+        """Minimum pairwise chordal distance; None for a single codeword.
+
+        Computed from an O(K^2 n) Gram product on first read, then cached.
+        """
+        if self.size < 2:
+            return None
+        return _chordal_from_gain(_max_cross_gain(self.vectors))
 
 
 def _unit_rows(z: np.ndarray) -> np.ndarray:
@@ -128,53 +135,50 @@ def random_codebook(n: int, size: int, seed: int) -> Codebook:
         raise ValueError(f"need n >= 1 and size >= 1, got n={n}, size={size}")
     rng = _rng(seed, 0)
     z = rng.standard_normal((size, n)) + 1j * rng.standard_normal((size, n))
-    vectors = _unit_rows(z)
-    chordal = _chordal_from_gain(_max_cross_gain(vectors)) if size >= 2 else None
-    return Codebook(n=n, vectors=vectors, kind="random_isotropic", seed=int(seed), min_chordal=chordal)
+    return Codebook(n=n, vectors=_unit_rows(z), kind="random_isotropic", seed=int(seed))
 
 
 def min_chordal_distance(codebook: Codebook) -> float:
     """Minimum pairwise chordal distance sqrt(1 - |<v_i, v_j>|^2)."""
     if codebook.size < 2:
         raise ValueError("min chordal distance needs at least two codewords")
-    return _chordal_from_gain(_max_cross_gain(codebook.vectors))
+    return codebook.min_chordal
 
 
 def _design_descent(v0: np.ndarray, iterations: int) -> tuple[float, np.ndarray]:
     """Soft-min descent on the worst pairwise gain, rows kept unit norm.
 
-    Returns the best true min-chordal seen along the path and its codebook;
-    the starting point itself is included, so the result never regresses.
+    Returns the least worst pairwise gain seen along the path and its
+    codebook.  Each iterate's gain comes from the Gram its gradient step
+    forms; the starting point is included, so the result never regresses.
     """
-    v = v0.copy()
-    best_gain = _max_cross_gain(v)
-    best_v = v.copy()
+    v = best_v = v0
+    best_gain = math.inf
     steps = max(1, iterations)
-    for it in range(steps):
+    for it in range(steps + 1):
+        g = v @ v.conj().T
+        p = np.abs(g) ** 2
+        np.fill_diagonal(p, 0.0)
+        gain = p.max()
+        if gain < best_gain:
+            best_gain = gain
+            best_v = v
+        if it == steps:
+            break
         frac = it / max(1, steps - 1)
         # Anneal the soft-min sharpness over five decades; the final tau must
         # separate pairwise gains that differ by ~1e-5 or the descent stalls
         # before the worst pairs equalize.
         tau = 8.0 * (1e6 / 8.0) ** frac
         eta = 0.7 * (2e-4 / 0.7) ** frac
-        g = v @ v.conj().T
-        p = np.abs(g) ** 2
-        np.fill_diagonal(p, 0.0)
-        w = np.exp(tau * (p - p.max()))
+        w = np.exp(tau * (p - gain))
         np.fill_diagonal(w, 0.0)
-        total = w.sum()
-        if total <= 0.0:
-            break
-        w /= total
+        w /= w.sum()  # >= 1: the worst pair's weight is exp(0)
         grad = (w * g) @ v
         scale = np.linalg.norm(grad, axis=1).max()
         if scale > 0.0:
             v = _unit_rows(v - (eta / scale) * grad)
-        gain = _max_cross_gain(v)
-        if gain < best_gain:
-            best_gain = gain
-            best_v = v.copy()
-    return best_gain, best_v
+    return float(best_gain), best_v
 
 
 def design_codebook(n: int, size: int, seed: int, iterations: int = 800) -> Codebook:
@@ -191,7 +195,7 @@ def design_codebook(n: int, size: int, seed: int, iterations: int = 800) -> Code
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     if size == 1:
         vectors = random_codebook(n, 1, seed).vectors
-        return Codebook(n=n, vectors=vectors, kind="designed", seed=int(seed), min_chordal=None)
+        return Codebook(n=n, vectors=vectors, kind="designed", seed=int(seed))
 
     inits = [random_codebook(n, size, seed).vectors]
     for j in range(1, 8):
@@ -211,13 +215,7 @@ def design_codebook(n: int, size: int, seed: int, iterations: int = 800) -> Code
         if gain < best_gain:
             best_gain = gain
             best_v = v
-    return Codebook(
-        n=n,
-        vectors=best_v,
-        kind="designed",
-        seed=int(seed),
-        min_chordal=_chordal_from_gain(best_gain),
-    )
+    return Codebook(n=n, vectors=best_v, kind="designed", seed=int(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -531,10 +529,7 @@ def _survival_power(log_p: float, r_fb: int) -> float:
     if log_p >= -1e-12:
         return 0.0
     if log_p > -37.0:
-        l1p = math.log1p(-math.exp(log_p))
-        if l1p == 0.0:
-            return 1.0
-        log_t = r_fb * _LN2 + math.log(-l1p)
+        log_t = r_fb * _LN2 + math.log(-math.log1p(-math.exp(log_p)))
     else:
         log_t = r_fb * _LN2 + log_p
     if log_t > 709.0:

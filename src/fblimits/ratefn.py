@@ -232,13 +232,18 @@ def _edge_log_moment_upper(law: MpLaw) -> float:
 
 
 def _rate_zero_closed(ctx: RateContext, alpha: float) -> float:
-    """Algebraic value of -cgf(alpha*) used to cross-check the quadrature."""
+    """Algebraic value of -cgf(alpha) at the optimal tilt alpha.
+
+    The branch follows where optimal_tilt put alpha: at an interval endpoint
+    or interior.  The lower endpoint form needs beta < 1; at beta = 1 an
+    interior tilt can round onto the endpoint for x below 1e-16.
+    """
     law, x = ctx.law, ctx.x
-    root = math.sqrt(law.beta)
-    if x >= 1.0 + root:
+    lo, hi = ctx.interval()
+    if alpha == hi:
         # Upper endpoint tilt: factor 1 + alpha(x - lam) = (lam_plus - lam)/(lam_plus - x).
         return _edge_log_moment_upper(law) - math.log(law.lambda_plus - x)
-    if law.beta < 1.0 and x <= 1.0 - root:
+    if alpha == lo and law.beta < 1.0:
         # Lower endpoint tilt: factor (lam - lam_minus)/(x - lam_minus).
         return _edge_log_moment_lower(law) - math.log(x - law.lambda_minus)
     # Interior stationary tilt.

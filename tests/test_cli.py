@@ -60,6 +60,8 @@ def test_no_command_is_usage_error():
         ["asymptotic", "--beta", "1", "--rate", "1", "--threads", "0"],
         ["asymptotic", "--beta", "1", "--rate", "1", "--threads", "-5"],
         ["sweep", "--beta", "1", "--rates", "0.5", "--sigma2", "-1"],
+        ["simulate", "--n", "4", "--m", "4", "--r-fb", "1", "--trials", "5", "--threads", "0"],
+        ["simulate", "--n", "4", "--m", "4", "--r-fb", "1", "--trials", "5", "--threads", "-5"],
     ),
 )
 def test_usage_errors_exit_2(argv):
@@ -110,6 +112,9 @@ def test_asymptotic_json_payload():
     assert code == 0
     rec = RunRecord.from_json(out)
     assert rec.command == "asymptotic"
+    # Deterministic: no seed, and no thread count to record.
+    assert rec.seed is None
+    assert "seed" not in rec.params and "threads" not in rec.params
     p = rec.payload
     assert p["x_minus"] == pytest.approx(0.23196095298653446, abs=1e-9)
     assert p["x_plus"] == pytest.approx(4.0 - math.e / 2.0, abs=1e-9)

@@ -1,0 +1,57 @@
+"""Source hygiene: no dead imports, and a pinned public surface."""
+
+import ast
+import pathlib
+
+import pytest
+
+import fblimits
+
+SRC = pathlib.Path(fblimits.__file__).parent
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_unused_import_check_sees_dead_names():
+    tree = ast.parse("import math\nfrom os import path as p, sep\nprint(sep)\n")
+    assert _unused_imports(tree) == ["math (line 1)", "p (line 2)"]
+
+
+PUBLIC_NAMES = [
+    "AsymptoticResult", "BudgetError", "Codebook", "ConsistencyError",
+    "DEFAULT_QUADRATURE", "DIRECT_BUDGET", "EigenSolverError", "Estimate",
+    "LegendrePoint", "MpLaw", "QuadratureConfig", "QuadratureError",
+    "RateContext", "ReliabilityError", "SimConfig", "SpectrumSample",
+    "TiltedCdfResult", "__version__", "asymptotic_limits", "c_rand_via_cdf",
+    "cgf", "cgf_prime", "cgf_prime_closed", "conditional_cdf_mc",
+    "conditional_cdf_tilted", "design_codebook", "eta_integral", "f_kernel",
+    "ldp_rate_estimate", "min_chordal_distance", "mp_integrate", "mp_law",
+    "optimal_tilt", "quantile_x_n", "random_codebook", "rate_function",
+    "rate_zero", "sample_spectrum", "shannon_integral", "simulate_c_cdf",
+    "simulate_c_direct", "simulate_c_spectral", "solve_x_by_rate",
+    "solve_x_minus", "solve_x_plus", "thresholds", "throughput",
+    "uniform_codebook_bound",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(fblimits.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(fblimits, name) is not None

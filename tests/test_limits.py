@@ -137,6 +137,45 @@ def test_asymptotic_limits_fields_and_scaling():
     assert res.r_max == pytest.approx(0.38436279501498355, abs=1e-13)
 
 
+# asymptotic_limits(beta, r) levels on criterion 1's 5x5 grid.  Pinned to
+# 1e-13 relative rather than bit for bit: the explicit branches' evaluation
+# order is free to change, their value is not.
+PINNED_LIMITS = (
+    (0.25, 0.25, 0.7337919186528883, 1.323914815433638),
+    (0.25, 0.5, 0.6393674556424845, 1.4759352630939924),
+    (0.25, 1.0, 0.5206939420862208, 1.7026625111903222),
+    (0.25, 2.0, 0.3853352832366127, 1.976331255595161),
+    (0.25, 4.0, 0.28383382080915315, 2.1815828138987903),
+    (0.5, 0.25, 0.6393674556424845, 1.4759352630939921),
+    (0.5, 0.5, 0.5206939420862208, 1.7094704191457106),
+    (0.5, 1.0, 0.3806201146772015, 2.0623315162090154),
+    (0.5, 2.0, 0.23252036700463946, 2.488272539291055),
+    (0.5, 4.0, 0.12246991997133858, 2.807728306602585),
+    (1.0, 0.25, 0.5206939420862208, 1.7094704242947958),
+    (1.0, 0.5, 0.3806201146772015, 2.0778844859204417),
+    (1.0, 1.0, 0.23196095298653444, 2.6408590857704777),
+    (1.0, 2.0, 0.10182843109414198, 3.320429542885239),
+    (1.0, 4.0, 0.02354013150457164, 3.8301073857213095),
+    (2.0, 0.25, 0.3806201146772015, 2.0779604501004534),
+    (2.0, 0.5, 0.23196095298653444, 2.6771948499219405),
+    (2.0, 1.0, 0.10182843109414198, 3.600169414124053),
+    (2.0, 2.0, 0.02354013150457164, 4.714298269435121),
+    (2.0, 4.0, 0.001439098582330213, 5.549894910918423),
+    (4.0, 0.25, 0.23196095298653444, 2.678346990016666),
+    (4.0, 0.5, 0.10182843109414198, 3.6850010896432197),
+    (4.0, 1.0, 0.02354013150457164, 5.241728228487609),
+    (4.0, 2.0, 0.001439098582330213, 7.120864114243805),
+    (4.0, 4.0, 5.613426303731852e-06, 8.530216028560952),
+)
+
+
+def test_limits_are_pinned():
+    for beta, r, x_minus, x_plus in PINNED_LIMITS:
+        res = asymptotic_limits(beta, r)
+        assert res.x_minus == pytest.approx(x_minus, rel=1e-13, abs=0.0)
+        assert res.x_plus == pytest.approx(x_plus, rel=1e-13, abs=0.0)
+
+
 def test_rate_inversion_agrees_with_branch_formulas():
     for beta in (0.5, 1.0, 2.0):
         for r in (0.3, 1.0, 3.0):

@@ -74,7 +74,6 @@ def test_min_chordal_distance_trivials():
         vectors=np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
         kind="random_isotropic",
         seed=0,
-        min_chordal=None,
     )
     assert min_chordal_distance(ortho) == pytest.approx(1.0, abs=1e-12)
     dup = Codebook(
@@ -82,12 +81,21 @@ def test_min_chordal_distance_trivials():
         vectors=np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex),
         kind="random_isotropic",
         seed=0,
-        min_chordal=None,
     )
     assert min_chordal_distance(dup) == pytest.approx(0.0, abs=1e-12)
     single = random_codebook(2, 1, seed=0)
     with pytest.raises(ValueError):
         min_chordal_distance(single)
+
+
+def test_random_codebook_defers_geometry():
+    # The O(K^2 n) Gram behind min_chordal is formed on first read only.
+    cb = random_codebook(4, 64, seed=5)
+    assert "min_chordal" not in vars(cb)
+    first = cb.min_chordal
+    assert "min_chordal" in vars(cb)
+    assert first == min_chordal_distance(cb)
+    assert random_codebook(4, 1, seed=5).min_chordal is None
 
 
 def test_design_orthonormal_when_small():
