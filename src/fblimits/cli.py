@@ -6,8 +6,10 @@ asymptotic and sweep), the package version, and the wall time, so a result
 file is reproducible on its own.  Records serialize to JSON (default) or
 CSV; CSV keeps the provenance in a leading comment line.
 
-Exit codes: 0 success, 2 usage, 3 I/O, 4 numeric or consistency failure,
-5 compute-budget refusal.
+Exit codes: 0 success; 2 the command line was refused before any
+computation, by a flag's argparse type (which checks that flag's range) or
+by a check across two flags; 3 I/O failure; 4 the computation ran and hit a
+numeric or consistency failure; 5 compute-budget refusal.
 """
 
 from __future__ import annotations
@@ -170,9 +172,9 @@ def load_codebook(path: str) -> Codebook:
     data = [ln.split() for ln in raw[2:] if ln.strip()]
     if len(data) != size:
         raise ValueError(f"{path}: expected {size} codewords, found {len(data)}")
-    flat = np.array([[float(t) for t in row] for row in data], dtype=float)
-    if flat.shape[1] != 2 * n:
+    if any(len(row) != 2 * n for row in data):
         raise ValueError(f"{path}: expected {2 * n} floats per row")
+    flat = np.array([[float(t) for t in row] for row in data], dtype=float)
     vectors = flat[:, 0::2] + 1j * flat[:, 1::2]
     norms = np.linalg.norm(vectors, axis=1)
     if np.abs(norms - 1.0).max() > 1e-9:
@@ -208,42 +210,19 @@ _MINUS_COLS = ("x_minus", "c_min", "branch_minus", "throughput_cdma_min")
 _PLUS_COLS = ("x_plus", "c_max", "branch_plus", "throughput_mimo_max")
 
 
-def _require_positive(parser: argparse.ArgumentParser, flag: str, value: float | None) -> None:
-    if value is not None and not (math.isfinite(value) and value > 0.0):
-        parser.error(f"{flag} must be finite and positive, got {value}")
-
-
-def _parse_list(parser: argparse.ArgumentParser, flag: str, text: str, kind: type) -> list:
-    try:
-        return [kind(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        parser.error(f"{flag} must be a comma-separated list of {kind.__name__}s, got {text!r}")
-
-
 def _cmd_asymptotic(args, parser: argparse.ArgumentParser) -> dict:
-    _require_positive(parser, "--beta", args.beta)
-    _require_positive(parser, "--rate", args.rate)
-    _require_positive(parser, "--sigma2", args.sigma2)
     return _limit_fields(args.beta, args.rate, args.sigma2)
 
 
 def _cmd_sweep(args, parser: argparse.ArgumentParser) -> dict:
-    _require_positive(parser, "--beta", args.beta)
-    _require_positive(parser, "--sigma2", args.sigma2)
     if args.rates is not None:
-        rates = _parse_list(parser, "--rates", args.rates, float)
+        rates = args.rates
     elif args.rate_min is not None and args.rate_max is not None:
-        if args.points < 2:
-            parser.error(f"--points must be >= 2, got {args.points}")
         if not args.rate_min < args.rate_max:
             parser.error("--rate-min must be below --rate-max")
         rates = [float(r) for r in np.linspace(args.rate_min, args.rate_max, args.points)]
     else:
         parser.error("give either --rates or both --rate-min and --rate-max")
-    if not rates:
-        parser.error("the rate list is empty")
-    if not all(math.isfinite(r) and r > 0.0 for r in rates):
-        parser.error("sweep rates must all be finite and positive")
     drop: tuple[str, ...] = ()
     if args.mode == "min":
         drop = _PLUS_COLS
@@ -257,8 +236,6 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> dict:
 
 
 def _cmd_simulate(args, parser: argparse.ArgumentParser) -> dict:
-    if args.threads < 1:
-        parser.error(f"--threads must be >= 1, got {args.threads}")
     if args.codebook != "random" and args.method != "direct":
         parser.error("--codebook designed applies only to --method direct")
     cfg = SimConfig(
@@ -300,8 +277,6 @@ def _cmd_simulate(args, parser: argparse.ArgumentParser) -> dict:
 
 
 def _cmd_design(args, parser: argparse.ArgumentParser) -> dict:
-    if args.n < 1 or args.size < 1 or args.iterations < 1:
-        parser.error("--n, --size and --iterations must all be >= 1")
     codebook = design_codebook(args.n, args.size, args.seed, iterations=args.iterations)
     baseline = random_codebook(args.n, args.size, args.seed)
     save_codebook(codebook, args.codebook_out)
@@ -316,23 +291,50 @@ def _cmd_design(args, parser: argparse.ArgumentParser) -> dict:
 
 
 def _cmd_ldp(args, parser: argparse.ArgumentParser) -> dict:
-    _require_positive(parser, "--beta", args.beta)
     law = mp_law(args.beta)
     if not (law.lambda_t_minus < args.x < law.lambda_plus) or args.x == 1.0:
         parser.error(
             f"--x must lie in ({law.lambda_t_minus:.6g}, {law.lambda_plus:.6g}) "
             "and away from the mean at 1"
         )
-    sizes = _parse_list(parser, "--sizes", args.sizes, int)
-    if not sizes:
-        parser.error("--sizes must list at least one size")
     limit = rate_zero(RateContext(law=law, x=args.x)).value
-    pairs = ldp_rate_estimate(args.beta, args.x, sizes, args.samples, args.seed)
+    pairs = ldp_rate_estimate(args.beta, args.x, args.sizes, args.samples, args.seed)
     rows = []
     for n, rate in pairs:
         rel = abs(rate - limit) / limit if limit > 0.0 else None
         rows.append({"n": n, "rate_estimate": rate, "rate_limit": limit, "rel_err": rel})
     return {"rows": rows}
+
+
+def _number(kind: type, low: float, strict: bool = False):
+    """argparse type: a finite `kind` that is >= low, or > low when strict."""
+    bound = f"a finite number {'>' if strict else '>='} {low:g}"
+
+    def parse(text: str):
+        value = kind(text)  # argparse reports a ValueError as "invalid <kind> value"
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+def _comma_list(item):
+    """argparse type: a non-empty comma-separated list, each entry checked by `item`."""
+
+    def parse(text: str) -> list:
+        values = [item(tok) for tok in text.split(",") if tok.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError("must list at least one value")
+        return values
+
+    parse.__name__ = f"comma-separated {item.__name__}"
+    return parse
+
+
+_POSITIVE = _number(float, 0.0, strict=True)
+_COUNT = _number(int, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,26 +350,26 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="write the run record here instead of stdout")
 
     sp = sub.add_parser("asymptotic", help="limits of c_min and c_max at one (beta, rate)")
-    sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--rate", type=float, required=True)
-    sp.add_argument("--sigma2", type=float, help="noise power for throughput columns")
+    sp.add_argument("--beta", type=_POSITIVE, required=True)
+    sp.add_argument("--rate", type=_POSITIVE, required=True)
+    sp.add_argument("--sigma2", type=_POSITIVE, help="noise power for throughput columns")
     common(sp)
 
     sp = sub.add_parser("sweep", help="limits over a list of normalized feedback rates")
-    sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--rates", help="comma-separated rate values")
-    sp.add_argument("--rate-min", type=float, help="sweep start (with --rate-max)")
-    sp.add_argument("--rate-max", type=float, help="sweep end")
-    sp.add_argument("--points", type=int, default=21)
+    sp.add_argument("--beta", type=_POSITIVE, required=True)
+    sp.add_argument("--rates", type=_comma_list(_POSITIVE), help="comma-separated rate values")
+    sp.add_argument("--rate-min", type=_POSITIVE, help="sweep start (with --rate-max)")
+    sp.add_argument("--rate-max", type=_POSITIVE, help="sweep end")
+    sp.add_argument("--points", type=_number(int, 2), default=21)
     sp.add_argument("--mode", choices=("min", "max", "both"), default="both")
-    sp.add_argument("--sigma2", type=float)
+    sp.add_argument("--sigma2", type=_POSITIVE)
     common(sp)
 
     sp = sub.add_parser("simulate", help="finite-size Monte Carlo vs the limit")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--r-fb", type=int, required=True, help="feedback bits per channel use")
-    sp.add_argument("--trials", type=int, default=200)
+    sp.add_argument("--n", type=_COUNT, required=True)
+    sp.add_argument("--m", type=_COUNT, required=True)
+    sp.add_argument("--r-fb", type=_number(int, 0), required=True, help="feedback bits per channel use")
+    sp.add_argument("--trials", type=_COUNT, default=200)
     sp.add_argument("--mode", choices=("min", "max"), default="min")
     sp.add_argument("--method", choices=("direct", "spectral", "cdf"), default="direct")
     sp.add_argument(
@@ -376,24 +378,25 @@ def build_parser() -> argparse.ArgumentParser:
         default="random",
         help="designed packs a codebook first (direct method only)",
     )
-    sp.add_argument("--samples", type=int, default=20000, help="CDF-route sample panel size")
-    sp.add_argument("--threads", type=int, default=1, help="worker threads; never changes results")
+    sp.add_argument("--samples", type=_number(int, 2), default=20000, help="CDF-route sample panel size")
+    sp.add_argument("--threads", type=_COUNT, default=1, help="worker threads; never changes results")
     sp.add_argument("--seed", type=int, default=0)
     common(sp)
 
     sp = sub.add_parser("design", help="pack a codebook and write it to a file")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--size", type=int, required=True)
-    sp.add_argument("--iterations", type=int, default=800)
+    sp.add_argument("--n", type=_COUNT, required=True)
+    sp.add_argument("--size", type=_COUNT, required=True)
+    sp.add_argument("--iterations", type=_COUNT, default=800)
     sp.add_argument("--codebook-out", required=True)
     sp.add_argument("--seed", type=int, default=0)
     common(sp)
 
     sp = sub.add_parser("ldp", help="empirical tail decay rates against the rate function")
-    sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--sizes", default="50,100,200", help="comma-separated spectrum sizes")
-    sp.add_argument("--samples", type=int, default=20000)
+    sp.add_argument("--beta", type=_POSITIVE, required=True)
+    sp.add_argument("--x", type=_POSITIVE, required=True)
+    sp.add_argument("--sizes", type=_comma_list(_COUNT), default="50,100,200",
+                    help="comma-separated spectrum sizes")
+    sp.add_argument("--samples", type=_number(int, 2), default=20000)
     sp.add_argument("--seed", type=int, default=0)
     common(sp)
 
@@ -413,13 +416,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-    start = time.perf_counter()
-    try:
+        start = time.perf_counter()
         payload = _HANDLERS[args.command](args, parser)
-    except SystemExit as exc:  # parser.error inside a handler
+    except SystemExit as exc:  # argparse, or a handler's check across flags
         return int(exc.code or 0)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

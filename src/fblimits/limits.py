@@ -92,7 +92,7 @@ def _fixed_point(beta: float, r: float, side: str) -> float:
         return u + 1.0 - math.exp(u) + shift
 
     if side == "minus":
-        lo = -shift - 1.0  # g(lo) = -exp(lo) <= 0 exactly
+        lo = -shift - 2.0  # g(lo) = -1 - exp(lo): a sign margin rounding cannot flip
         hi = 0.0
     else:
         lo = 0.0

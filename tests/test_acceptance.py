@@ -141,9 +141,9 @@ def test_criterion_5_finite_size_extremes_approach_limits():
     the extreme over 2^n codewords; on the min side it predicts relative
     errors of 22.5%, 13.7% and 10.0% at n=16/32/48 and 3.2% at n=200.  The
     5% bar is therefore applied at n=200, where the prediction clears it,
-    and not at n=48, where no correct estimator can.  SimConfig caps r_fb
-    at 62, so n=200 runs the two layers simulate_c_cdf loops over:
-    sample_spectrum, then c_rand_via_cdf at r_fb=n.
+    and not at n=48, where no correct estimator can.  The n=200 point calls
+    the two layers simulate_c_cdf loops over directly, sample_spectrum and
+    then c_rand_via_cdf at r_fb=n, on 24 spectra with their own fixed seeds.
     """
     t0 = time.perf_counter()
     beta = 2.0

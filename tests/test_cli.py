@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, record round-trips, file formats."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from fblimits import random_codebook
-from fblimits.cli import RunRecord, load_codebook, main, save_codebook
+from fblimits.cli import RunRecord, build_parser, load_codebook, main, save_codebook
 
 
 def run(argv):
@@ -62,11 +63,66 @@ def test_no_command_is_usage_error():
         ["sweep", "--beta", "1", "--rates", "0.5", "--sigma2", "-1"],
         ["simulate", "--n", "4", "--m", "4", "--r-fb", "1", "--trials", "5", "--threads", "0"],
         ["simulate", "--n", "4", "--m", "4", "--r-fb", "1", "--trials", "5", "--threads", "-5"],
+        ["simulate", "--n", "0", "--m", "4", "--r-fb", "1", "--trials", "10",
+         "--method", "direct"],
+        ["simulate", "--n", "4", "--m", "4", "--r-fb", "1", "--trials", "0"],
+        ["simulate", "--n", "4", "--m", "4", "--r-fb", "-1", "--trials", "5"],
+        ["simulate", "--n", "4", "--m", "4", "--r-fb", "1", "--trials", "5",
+         "--method", "cdf", "--samples", "0"],
+        ["ldp", "--beta", "1", "--x", "0.5", "--sizes", "0"],
+        ["ldp", "--beta", "1", "--x", "0.5", "--samples", "1"],
     ),
 )
 def test_usage_errors_exit_2(argv):
     code, _, _ = run(argv)
     assert code == 2
+
+
+# A cheap valid command line per subcommand, and the first value below each
+# typed option's documented range (None: every int is a valid seed).
+BASE_ARGV = {
+    "asymptotic": ["--beta", "1", "--rate", "1"],
+    "sweep": ["--beta", "1", "--rates", "0.5"],
+    "simulate": ["--n", "2", "--m", "2", "--r-fb", "1", "--trials", "2"],
+    "design": ["--n", "2", "--size", "2", "--iterations", "1", "--codebook-out", "cb.txt"],
+    "ldp": ["--beta", "1", "--x", "0.5", "--sizes", "4", "--samples", "100"],
+}
+BELOW_RANGE = {
+    "--beta": "0", "--rate": "0", "--sigma2": "0", "--rate-min": "0", "--rate-max": "0",
+    "--x": "0", "--rates": "0", "--sizes": "0", "--n": "0", "--m": "0", "--trials": "0",
+    "--threads": "0", "--size": "0", "--iterations": "0", "--r-fb": "-1",
+    "--samples": "1", "--points": "1", "--seed": None,
+}
+UNTYPED_VALUE_OPTIONS = {"--out", "--codebook-out"}  # file paths
+
+
+def _subcommand_options():
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    for name, sp in subparsers.choices.items():
+        for action in sp._actions:
+            if action.option_strings and action.nargs != 0:
+                yield name, action
+
+
+def test_every_typed_option_is_checked_by_argparse(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a value that slips through must not write cb.txt here
+    seen, failures = set(), []
+    for command, action in _subcommand_options():
+        flag = action.option_strings[0]
+        if action.type is None:
+            # A value argparse does not convert must be a choice or a path.
+            assert action.choices is not None or flag in UNTYPED_VALUE_OPTIONS, flag
+            continue
+        assert flag in BELOW_RANGE, f"{command} {flag} has no documented range here"
+        seen.add(flag)
+        bad = ["nan", "inf", "abc"] + ([] if flag == "--seed" else ["-1", BELOW_RANGE[flag]])
+        for value in bad:
+            code, _, err = run([command, *BASE_ARGV[command], flag, value])
+            if code != 2 or f"argument {flag}" not in err:
+                failures.append((command, flag, value, code))
+    assert seen == set(BELOW_RANGE)
+    assert not failures, failures
 
 
 def test_unwritable_output_exits_3(tmp_path):
@@ -77,8 +133,9 @@ def test_unwritable_output_exits_3(tmp_path):
 
 
 def test_numeric_error_exits_4():
-    code, _, err = run(["simulate", "--n", "0", "--m", "4", "--r-fb", "1",
-                        "--trials", "10", "--method", "direct"])
+    # A valid command line whose computation fails: a one-eigenvalue spectrum
+    # never brackets the level, so the tilted estimator raises ReliabilityError.
+    code, _, err = run(["ldp", "--beta", "1", "--x", "0.5", "--sizes", "1"])
     assert code == 4
     assert "error" in err.lower()
 
@@ -305,6 +362,21 @@ def test_codebook_loader_rejects_garbage(tmp_path):
     bad.write_text("not a codebook\n")
     with pytest.raises(ValueError):
         load_codebook(str(bad))
+    good = tmp_path / "good.txt"
+    save_codebook(random_codebook(2, 2, seed=0), str(good))
+    magic, header, row0, row1 = good.read_text().splitlines()
+    unnormed = " ".join(str(2.0 * float(t)) for t in row0.split())
+    for lines, match in (
+        ([magic, "# n=2 size=two kind=random seed=0", row0, row1], "malformed codebook header"),
+        ([magic], "malformed codebook header"),
+        ([magic, header, row0], "expected 2 codewords, found 1"),
+        ([magic, header, row0 + " 0.0", row1 + " 0.0"], "expected 4 floats per row"),
+        ([magic, header, row0, row1 + " 0.0"], "expected 4 floats per row"),
+        ([magic, header, unnormed, row1], "not unit norm"),
+    ):
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=match):
+            load_codebook(str(bad))
 
 
 def test_codebook_preserves_metadata_through_file(tmp_path):

@@ -1,19 +1,25 @@
 """Threshold formulas, level solvers, and throughput mappings."""
 
+import contextlib
+import io
+import json
 import math
 
+import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from fblimits import (
     ConsistencyError,
     asymptotic_limits,
+    mp_law,
     solve_x_by_rate,
     solve_x_minus,
     solve_x_plus,
     thresholds,
     throughput,
 )
+from fblimits.cli import main
 
 LN2 = math.log(2.0)
 
@@ -214,3 +220,51 @@ def test_input_validation():
         solve_x_minus(1.0, -0.5)
     with pytest.raises(ValueError):
         solve_x_by_rate(1.0, 1.0, "sideways")
+
+
+# The geometric 200x200 grid beta in [1e-3, 50], r in [1e-3, 20].  Its
+# largest shifts beta r log 2 reach about 693, where x_r_minus is ~1e-301.
+DOMAIN_BETAS = np.geomspace(1e-3, 50.0, 200)
+DOMAIN_RATES = np.geomspace(1e-3, 20.0, 200)
+# Grid points whose fixed-point bracket once lost its sign to rounding.
+BRACKET_POINTS = (
+    (5.095978550731885, 18.105209876548013),
+    (7.872830623681995, 11.56870159672752),
+    (15.117705584454635, 6.057770420396425),
+    (15.96242235804436, 5.763676462567724),
+    (27.49336791342105, 6.691742831706307),
+    (29.029587077711522, 3.1720571370438266),
+    (50.0, 1.834829123311494),
+)
+
+
+def test_levels_solve_over_the_whole_domain():
+    failures = []
+    for beta in DOMAIN_BETAS.tolist():
+        law = mp_law(beta)
+        for r in DOMAIN_RATES.tolist():
+            try:
+                x_minus = solve_x_minus(beta, r)[0]
+                x_plus = solve_x_plus(beta, r)[0]
+            except ValueError as exc:
+                failures.append((beta, r, str(exc)))
+                continue
+            if not law.lambda_t_minus < x_minus < 1.0 < x_plus < law.lambda_plus:
+                failures.append((beta, r, x_minus, x_plus))
+    assert not failures, failures[:10]
+
+
+def test_domain_subsample_matches_rate_inversion():
+    subsample = [(b, r) for b in DOMAIN_BETAS[::33].tolist() for r in DOMAIN_RATES[::33].tolist()]
+    for beta, r in subsample + list(BRACKET_POINTS):
+        res = asymptotic_limits(beta, r)
+        assert res.x_minus == pytest.approx(solve_x_by_rate(beta, r, "minus"), rel=1e-6, abs=0.0)
+        assert res.x_plus == pytest.approx(solve_x_by_rate(beta, r, "plus"), rel=1e-6, abs=0.0)
+
+
+def test_cli_solves_a_deep_fixed_point():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["asymptotic", "--beta", "5.095978550731885", "--rate", "18.105209876548013"])
+    assert code == 0
+    assert json.loads(out.getvalue())["payload"]["branch_minus"] == "fixed_point"

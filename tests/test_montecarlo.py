@@ -126,6 +126,13 @@ def test_design_never_worse_than_its_random_start(seed):
     assert designed.min_chordal >= baseline - 1e-12
 
 
+def test_design_single_codeword_is_the_random_one():
+    cb = design_codebook(3, 1, seed=4)
+    assert cb.kind == "designed"
+    assert np.array_equal(cb.vectors, random_codebook(3, 1, seed=4).vectors)
+    assert cb.min_chordal is None
+
+
 def test_design_deterministic():
     a = design_codebook(3, 5, seed=7, iterations=100)
     b = design_codebook(3, 5, seed=7, iterations=100)

@@ -117,6 +117,14 @@ def test_cgf_prime_closed_removable_point():
     alpha = -1.0 / c.x
     want = c.x * (1.0 - c.x / (1.0 - c.law.beta))
     assert cgf_prime(c, alpha) == pytest.approx(want, rel=1e-8)
+    # The closed form takes its own removable-point and zero-tilt branches.
+    assert cgf_prime_closed(c, alpha) == pytest.approx(want, rel=1e-13)
+    assert cgf_prime_closed(c, 0.0) == c.law.mean - c.x
+    # For beta >= 1, -1/x is the open end of the interval: just inside it the
+    # closed form refuses instead of cancelling.
+    c = ctx(2.0, 0.6)
+    with pytest.raises(ValueError, match="not interior"):
+        cgf_prime_closed(c, math.nextafter(-1.0 / c.x, 0.0))
 
 
 def test_cgf_prime_vanishes_at_interior_tilt():
