@@ -312,7 +312,8 @@ def _number(kind: type, low: float, strict: bool = False):
 
     def parse(text: str):
         value = kind(text)  # argparse reports a ValueError as "invalid <kind> value"
-        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+        # float(text) reads an int beyond float range as inf rather than overflowing.
+        if not (math.isfinite(float(text)) and (value > low if strict else value >= low)):
             raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
         return value
 

@@ -63,14 +63,7 @@ def test_no_command_is_usage_error():
         ["sweep", "--beta", "1", "--rates", "0.5", "--sigma2", "-1"],
         ["simulate", "--n", "4", "--m", "4", "--r-fb", "1", "--trials", "5", "--threads", "0"],
         ["simulate", "--n", "4", "--m", "4", "--r-fb", "1", "--trials", "5", "--threads", "-5"],
-        ["simulate", "--n", "0", "--m", "4", "--r-fb", "1", "--trials", "10",
-         "--method", "direct"],
-        ["simulate", "--n", "4", "--m", "4", "--r-fb", "1", "--trials", "0"],
-        ["simulate", "--n", "4", "--m", "4", "--r-fb", "-1", "--trials", "5"],
-        ["simulate", "--n", "4", "--m", "4", "--r-fb", "1", "--trials", "5",
-         "--method", "cdf", "--samples", "0"],
-        ["ldp", "--beta", "1", "--x", "0.5", "--sizes", "0"],
-        ["ldp", "--beta", "1", "--x", "0.5", "--samples", "1"],
+        ["simulate", "--n", "4", "--m", "4", "--r-fb", "1", "--trials", "1" + "0" * 400],
     ),
 )
 def test_usage_errors_exit_2(argv):
@@ -179,6 +172,15 @@ def test_asymptotic_json_payload():
     assert p["r_min"] is None
     assert p["r_max"] == pytest.approx(1.0 / math.log(2.0) - 1.0, abs=1e-12)
     assert p["branch_plus"] == "explicit"
+
+
+def test_asymptotic_solves_a_deep_fixed_point():
+    # beta r log 2 ~ 64: the lower level is ~1e-28, past where the fixed
+    # point's bracket once lost its sign to rounding.
+    code, out, _ = run(["asymptotic", "--beta", "5.095978550731885",
+                        "--rate", "18.105209876548013"])
+    assert code == 0
+    assert RunRecord.from_json(out).payload["branch_minus"] == "fixed_point"
 
 
 def test_asymptotic_throughput_fields_appear_with_sigma2():

@@ -1,8 +1,5 @@
 """Threshold formulas, level solvers, and throughput mappings."""
 
-import contextlib
-import io
-import json
 import math
 
 import numpy as np
@@ -19,7 +16,6 @@ from fblimits import (
     thresholds,
     throughput,
 )
-from fblimits.cli import main
 
 LN2 = math.log(2.0)
 
@@ -261,10 +257,3 @@ def test_domain_subsample_matches_rate_inversion():
         assert res.x_minus == pytest.approx(solve_x_by_rate(beta, r, "minus"), rel=1e-6, abs=0.0)
         assert res.x_plus == pytest.approx(solve_x_by_rate(beta, r, "plus"), rel=1e-6, abs=0.0)
 
-
-def test_cli_solves_a_deep_fixed_point():
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["asymptotic", "--beta", "5.095978550731885", "--rate", "18.105209876548013"])
-    assert code == 0
-    assert json.loads(out.getvalue())["payload"]["branch_minus"] == "fixed_point"
