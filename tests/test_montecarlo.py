@@ -13,6 +13,7 @@ import pytest
 from fblimits import (
     BudgetError,
     Codebook,
+    Estimate,
     ReliabilityError,
     SimConfig,
     c_rand_via_cdf,
@@ -244,6 +245,51 @@ def test_estimators_deterministic_and_thread_invariant():
     a = simulate_c_cdf(cfg, samples=2000, threads=1)
     b = simulate_c_cdf(cfg, samples=2000, threads=4)
     assert a == b
+
+
+def _floats(vectors):
+    return vectors.view(float).ravel().tolist()  # re, im interleaved
+
+
+def test_enumeration_outputs_are_pinned():
+    # Seeded outputs of every random draw on the enumeration side, pinned
+    # exactly so that restructuring the draws cannot move a single bit.
+    assert sample_spectrum(5, 3, seed=11).eigenvalues.tolist() == [
+        0.0, 0.0, 0.4324238230313838, 1.248427095286271, 2.4310007994020273,
+    ]
+    cb = random_codebook(2, 3, seed=7)
+    assert _floats(cb.vectors) == [
+        -0.6883848452731413, 0.45314976799000717, 0.4161114111700914, 0.3842302513635686,
+        0.5836870640803524, -0.5989834799212771, -0.5455903110998658, 0.05347349287831312,
+        0.20581552358631172, -0.9028488139043076, 0.08772314741368427, -0.36716295958377176,
+    ]
+    assert cb.min_chordal == 0.2862239698629279
+    wide = design_codebook(2, 3, seed=5, iterations=30)
+    assert _floats(wide.vectors) == [
+        -0.26360515924007655, 0.8190294784143993, -0.3142858612417521, -0.40115761358072394,
+        -0.0581575938748935, 0.220206657539564, 0.8357724223819891, -0.4996110289371905,
+        0.8411162246627539, 0.028477431475383952, 0.48786241392116336, -0.23173864068958433,
+    ]
+    assert wide.min_chordal == 0.8660104360001255
+    # size <= n: the orthonormal-frame restart wins.
+    frame = design_codebook(3, 2, seed=5, iterations=30)
+    assert _floats(frame.vectors) == [
+        -0.5174949972921243, 0.256386240593201, -0.2887453107135053, -0.5791957503201596,
+        0.2625075093622065, -0.42274491042777723, 0.15597984536403398, 0.33621234606251554,
+        -0.2790481395170661, 0.18867822098104106, 0.7588634295721349, 0.41628176300777553,
+    ]
+    assert frame.min_chordal == 1.0
+    cfg = SimConfig(n=2, m=3, r_fb=2, trials=6, seed=9)
+    assert simulate_c_direct(cfg) == Estimate(1.1252387405958502, 0.2153840733029367, 6)
+    assert simulate_c_direct(cfg, codebook=cb) == Estimate(1.5622470026376083, 0.28760841095654655, 6)
+    spectral = {
+        "min": Estimate(0.9045759180128395, 0.1394806281314438, 6),
+        "max": Estimate(2.4175320282393185, 0.41986784811380895, 6),
+    }
+    for mode, want in spectral.items():
+        for threads in (1, 2):
+            cfg = SimConfig(n=2, m=3, r_fb=2, trials=6, seed=9, mode=mode)
+            assert simulate_c_spectral(cfg, threads=threads) == want
 
 
 def test_cdf_route_matches_direct_at_small_size():
