@@ -167,6 +167,8 @@ def load_codebook(path: str) -> Codebook:
         size = int(meta["size"])
         seed = int(meta["seed"])
         kind = meta["kind"]
+        if n < 1 or size < 1:
+            raise ValueError("n and size must be >= 1")
     except (IndexError, KeyError, ValueError) as exc:
         raise ValueError(f"{path}: malformed codebook header") from exc
     data = [ln.split() for ln in raw[2:] if ln.strip()]
@@ -346,17 +348,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=summary)
+        # A check across two flags then prints this subcommand's usage line.
+        sp.set_defaults(run=lambda args: handler(args, sp))
+        return sp
+
     def common(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", help="write the run record here instead of stdout")
 
-    sp = sub.add_parser("asymptotic", help="limits of c_min and c_max at one (beta, rate)")
+    sp = command("asymptotic", _cmd_asymptotic, "limits of c_min and c_max at one (beta, rate)")
     sp.add_argument("--beta", type=_POSITIVE, required=True)
     sp.add_argument("--rate", type=_POSITIVE, required=True)
     sp.add_argument("--sigma2", type=_POSITIVE, help="noise power for throughput columns")
     common(sp)
 
-    sp = sub.add_parser("sweep", help="limits over a list of normalized feedback rates")
+    sp = command("sweep", _cmd_sweep, "limits over a list of normalized feedback rates")
     sp.add_argument("--beta", type=_POSITIVE, required=True)
     sp.add_argument("--rates", type=_comma_list(_POSITIVE), help="comma-separated rate values")
     sp.add_argument("--rate-min", type=_POSITIVE, help="sweep start (with --rate-max)")
@@ -366,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma2", type=_POSITIVE)
     common(sp)
 
-    sp = sub.add_parser("simulate", help="finite-size Monte Carlo vs the limit")
+    sp = command("simulate", _cmd_simulate, "finite-size Monte Carlo vs the limit")
     sp.add_argument("--n", type=_COUNT, required=True)
     sp.add_argument("--m", type=_COUNT, required=True)
     sp.add_argument("--r-fb", type=_number(int, 0), required=True, help="feedback bits per channel use")
@@ -384,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     common(sp)
 
-    sp = sub.add_parser("design", help="pack a codebook and write it to a file")
+    sp = command("design", _cmd_design, "pack a codebook and write it to a file")
     sp.add_argument("--n", type=_COUNT, required=True)
     sp.add_argument("--size", type=_COUNT, required=True)
     sp.add_argument("--iterations", type=_COUNT, default=800)
@@ -392,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     common(sp)
 
-    sp = sub.add_parser("ldp", help="empirical tail decay rates against the rate function")
+    sp = command("ldp", _cmd_ldp, "empirical tail decay rates against the rate function")
     sp.add_argument("--beta", type=_POSITIVE, required=True)
     sp.add_argument("--x", type=_POSITIVE, required=True)
     sp.add_argument("--sizes", type=_comma_list(_COUNT), default="50,100,200",
@@ -404,21 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "asymptotic": _cmd_asymptotic,
-    "sweep": _cmd_sweep,
-    "simulate": _cmd_simulate,
-    "design": _cmd_design,
-    "ldp": _cmd_ldp,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         start = time.perf_counter()
-        payload = _HANDLERS[args.command](args, parser)
+        payload = args.run(args)
     except SystemExit as exc:  # argparse, or a handler's check across flags
         return int(exc.code or 0)
     except BudgetError as exc:
@@ -454,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _record_params(args: argparse.Namespace) -> dict:
-    skip = {"command", "format", "out"}
+    skip = {"command", "run", "format", "out"}
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 

@@ -28,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from ._brent import brentq
-from .spectra import _SEED_MASK, sample_spectrum, mp_law
+from .spectra import _SEED_MASK, _channel, _clipped_eigs, _complex_normal, sample_spectrum, mp_law
 
 __all__ = [
     "Codebook",
@@ -56,6 +56,8 @@ _LN2 = math.log(2.0)
 
 DIRECT_BUDGET = 5_000_000_000  # max 2^R_fb * n * trials for enumeration paths
 
+_GRAM_BLOCK = 512  # Gram rows formed at once by _max_cross_gain
+
 
 class BudgetError(RuntimeError):
     """Requested enumeration work exceeds the configured compute budget."""
@@ -65,17 +67,19 @@ class ReliabilityError(RuntimeError):
     """An importance-sampling estimate is too degenerate to report."""
 
 
+def _seed_sequence(seed: int, *path: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence([int(seed) & _SEED_MASK, *path])
+
+
 def _rng(seed: int, *path: int) -> np.random.Generator:
     # Philox is counter-based, so disjoint (seed, path) tuples give
     # independent streams.  Exponential draws everywhere use method="inv"
     # (inverse CDF) to stay bit-stable across numpy's ziggurat revisions.
-    ss = np.random.SeedSequence([int(seed) & _SEED_MASK, *path])
-    return np.random.Generator(np.random.Philox(seed=ss))
+    return np.random.Generator(np.random.Philox(seed=_seed_sequence(seed, *path)))
 
 
 def _child_seed(seed: int, *path: int) -> int:
-    ss = np.random.SeedSequence([int(seed) & _SEED_MASK, *path])
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(seed, *path).generate_state(1, np.uint64)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -110,17 +114,18 @@ def _unit_rows(z: np.ndarray) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def _max_cross_gain(vectors: np.ndarray, block: int = 512) -> float:
+def _isotropic_rows(rng: np.random.Generator, size: int, n: int) -> np.ndarray:
+    """size unit vectors in C^n drawn uniformly from the sphere."""
+    return _unit_rows(_complex_normal(rng, (size, n)))
+
+
+def _max_cross_gain(vectors: np.ndarray) -> float:
     """Largest off-diagonal |<v_i, v_j>|^2, computed in row blocks."""
-    k = vectors.shape[0]
     worst = 0.0
     conj_t = vectors.conj().T
-    for start in range(0, k, block):
-        stop = min(start + block, k)
-        g = vectors[start:stop] @ conj_t
-        p = np.abs(g) ** 2
-        for i in range(start, stop):
-            p[i - start, i] = 0.0
+    for start in range(0, vectors.shape[0], _GRAM_BLOCK):
+        p = np.abs(vectors[start:start + _GRAM_BLOCK] @ conj_t) ** 2
+        np.fill_diagonal(p[:, start:], 0.0)  # each row's gain with itself
         worst = max(worst, float(p.max()))
     return worst
 
@@ -133,9 +138,8 @@ def random_codebook(n: int, size: int, seed: int) -> Codebook:
     """Isotropically random codebook: normalized i.i.d. CN(0,1) rows."""
     if n < 1 or size < 1:
         raise ValueError(f"need n >= 1 and size >= 1, got n={n}, size={size}")
-    rng = _rng(seed, 0)
-    z = rng.standard_normal((size, n)) + 1j * rng.standard_normal((size, n))
-    return Codebook(n=n, vectors=_unit_rows(z), kind="random_isotropic", seed=int(seed))
+    vectors = _isotropic_rows(_rng(seed, 0), size, n)
+    return Codebook(n=n, vectors=vectors, kind="random_isotropic", seed=int(seed))
 
 
 def min_chordal_distance(codebook: Codebook) -> float:
@@ -198,14 +202,9 @@ def design_codebook(n: int, size: int, seed: int, iterations: int = 800) -> Code
         return Codebook(n=n, vectors=vectors, kind="designed", seed=int(seed))
 
     inits = [random_codebook(n, size, seed).vectors]
-    for j in range(1, 8):
-        rng = _rng(seed, 30 + j)
-        z = rng.standard_normal((size, n)) + 1j * rng.standard_normal((size, n))
-        inits.append(_unit_rows(z))
+    inits += [_isotropic_rows(_rng(seed, 30 + j), size, n) for j in range(1, 8)]
     if size <= n:
-        rng = _rng(seed, 29)
-        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        q, _ = np.linalg.qr(z)
+        q, _ = np.linalg.qr(_complex_normal(_rng(seed, 29), (n, n)))
         inits[1] = q[:size].copy()
 
     best_gain = math.inf
@@ -302,18 +301,13 @@ def simulate_c_direct(cfg: SimConfig, codebook: Codebook | None = None, threads:
     if codebook is not None and codebook.n != cfg.n:
         raise ValueError(f"codebook dimension {codebook.n} != cfg.n {cfg.n}")
     fixed = None if codebook is None else codebook.vectors
-    scale = math.sqrt(0.5)
     pick = np.min if cfg.mode == "min" else np.max
 
     def worker(t: int) -> float:
         rng = _rng(cfg.seed, 1, t)
-        h = scale * (rng.standard_normal((cfg.n, cfg.m)) + 1j * rng.standard_normal((cfg.n, cfg.m)))
+        h = _channel(rng, cfg.n, cfg.m)
         a = (h @ h.conj().T) / cfg.n
-        if fixed is None:
-            z = rng.standard_normal((k, cfg.n)) + 1j * rng.standard_normal((k, cfg.n))
-            v = _unit_rows(z)
-        else:
-            v = fixed
+        v = _isotropic_rows(rng, k, cfg.n) if fixed is None else fixed
         quad = np.einsum("ki,ij,kj->k", v.conj(), a, v).real
         return float(pick(quad))
 
@@ -328,14 +322,12 @@ def simulate_c_spectral(cfg: SimConfig, threads: int = 1) -> Estimate:
     i.i.d.; the m/n factor converts back to (1/n) H H* units.
     """
     k = _check_budget(cfg)
-    scale = math.sqrt(0.5)
     pick = np.min if cfg.mode == "min" else np.max
     factor = cfg.m / cfg.n
 
     def worker(t: int) -> float:
         rng = _rng(cfg.seed, 2, t)
-        h = scale * (rng.standard_normal((cfg.n, cfg.m)) + 1j * rng.standard_normal((cfg.n, cfg.m)))
-        lam = np.maximum(np.linalg.eigvalsh((h @ h.conj().T) / cfg.m), 0.0)
+        lam = _clipped_eigs(_channel(rng, cfg.n, cfg.m))
         y = rng.standard_exponential((k, cfg.n), method="inv")
         ratios = (y @ lam) / y.sum(axis=1)
         return factor * float(pick(ratios))
@@ -540,30 +532,24 @@ def _survival_power(log_p: float, r_fb: int) -> float:
 def _grid_integral(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
     """Trapezoid integral of f over [lo, hi] on an adaptive grid.
 
-    Starts from 64 even nodes (f_lo and f_hi are the known end values) and
-    bisects intervals until adjacent integrand values differ by <= 0.2.
+    f maps an array of levels to an array of values.  The grid starts from
+    64 even nodes (f_lo and f_hi are the known end values) and bisects, a
+    round at a time, every interval whose end values differ by more than
+    0.2; f sees the 62 inner nodes in one call, then each round's midpoints.
     """
-    inner = np.linspace(lo, hi, 64)[1:-1]
-    xs = [lo, *map(float, inner), hi]
-    vals = [f_lo, *(f(float(x)) for x in inner), f_hi]
+    xs = np.linspace(lo, hi, 64)
+    vals = np.concatenate(([f_lo], f(xs[1:-1]), [f_hi]))
     while True:
-        splits = [
-            i
-            for i in range(len(xs) - 1)
-            if abs(vals[i + 1] - vals[i]) > 0.2 and (xs[i + 1] - xs[i]) > 1e-12
-        ]
-        if not splits:
+        splits = np.flatnonzero((np.abs(np.diff(vals)) > 0.2) & (np.diff(xs) > 1e-12))
+        if splits.size == 0:
             break
-        if len(xs) + len(splits) > 4096:
+        if xs.size + splits.size > 4096:
             raise BudgetError("integration grid would exceed 4096 nodes; integrand too sharp")
-        for offset, i in enumerate(splits):
-            mid = 0.5 * (xs[i + offset] + xs[i + offset + 1])
-            xs.insert(i + offset + 1, mid)
-            vals.insert(i + offset + 1, f(mid))
-    total = 0.0
-    for i in range(len(xs) - 1):
-        total += 0.5 * (vals[i] + vals[i + 1]) * (xs[i + 1] - xs[i])
-    return total
+        mids = 0.5 * (xs[splits] + xs[splits + 1])
+        xs = np.insert(xs, splits + 1, mids)
+        vals = np.insert(vals, splits + 1, f(mids))
+    # Summed left to right: np.sum's pairwise order would move the result.
+    return float(np.cumsum(0.5 * (vals[:-1] + vals[1:]) * np.diff(xs))[-1])
 
 
 def _level_bisect(arr: np.ndarray, expo: np.ndarray, target: float, se_stop: bool) -> float:
@@ -597,33 +583,38 @@ def _level_bisect(arr: np.ndarray, expo: np.ndarray, target: float, se_stop: boo
 
 
 def _min_or_mirrored_max(fn, lam, r_fb: int, mode: str, samples: int, seed: int) -> float:
-    """Validate, then run fn on the spectrum (min) or its negation (max)."""
+    """Validate, then run fn on the spectrum (min) or its negation (max).
+
+    Degenerate input never reaches fn: a spectrum no wider than
+    1e-14 * max(1, |upper edge|) (taken after the negation) returns its
+    edge, and r_fb = 0, a single codeword, returns the spectrum mean.
+    """
     arr = _as_spectrum(lam)
     if r_fb < 0:
         raise ValueError(f"r_fb must be >= 0, got {r_fb}")
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-    if mode == "min":
-        return fn(arr, r_fb, samples, seed)
-    if mode == "max":
-        return -fn(-arr, r_fb, samples, seed)
-    raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+    if mode not in ("min", "max"):
+        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+    sign = 1.0 if mode == "min" else -1.0
+    arr = sign * arr
+    lmin = float(arr.min())
+    lmax = float(arr.max())
+    if lmax - lmin <= 1e-14 * max(1.0, abs(lmax)):
+        return sign * lmin
+    if r_fb == 0:
+        return sign * float(arr.mean())
+    return sign * fn(arr, r_fb, samples, seed)
 
 
 def _c_min_via_cdf(arr: np.ndarray, r_fb: int, samples: int, seed: int) -> float:
     lmin = float(arr.min())
-    lmax = float(arr.max())
-    if lmax - lmin <= 1e-14 * max(1.0, abs(lmax)):
-        return lmin
-    if r_fb == 0:
-        # One codeword: the ratio has mean equal to the spectrum average.
-        return float(arr.mean())
     expo = _panel(arr, samples, seed, 12)
 
-    def integrand(x: float) -> float:
-        return _survival_power(_log_cdf(arr, expo, x)[0], r_fb)
+    def integrand(xs: np.ndarray) -> np.ndarray:
+        return np.array([_survival_power(_log_cdf(arr, expo, x)[0], r_fb) for x in xs.tolist()])
 
-    return lmin + _grid_integral(integrand, lmin, lmax, 1.0, 0.0)
+    return lmin + _grid_integral(integrand, lmin, float(arr.max()), 1.0, 0.0)
 
 
 def c_rand_via_cdf(lam, r_fb: int, mode: str, samples: int, seed: int) -> float:
@@ -655,22 +646,19 @@ def quantile_x_n(lam, p: float, seed: int, samples: int = 20000) -> float:
 
 
 def _uniform_min_bound(arr: np.ndarray, r_fb: int, samples: int, seed: int) -> float:
-    if r_fb == 0:
-        return float(arr.mean())
     lmin = float(arr.min())
-    if lmin == float(arr.max()):
-        return lmin  # every quadratic form equals lmin
     expo = _panel(arr, samples, seed, 14)
 
-    def integrand(x: float) -> float:
+    def integrand(xs: np.ndarray) -> np.ndarray:
         # min(2^r_fb mu(x), 1), evaluated in logs.
-        return math.exp(min(0.0, r_fb * _LN2 + _log_cdf(arr, expo, x)[0]))
+        logs = [r_fb * _LN2 + _log_cdf(arr, expo, x)[0] for x in xs.tolist()]
+        return np.array([math.exp(min(0.0, t)) for t in logs])
 
     # Quantile at 2^-r_fb with the same exponential panel.
     xq = _level_bisect(arr, expo, -r_fb * _LN2, se_stop=False)
     if xq - lmin <= 1e-12 * max(1.0, abs(lmin)):
         return xq
-    return xq - _grid_integral(integrand, lmin, xq, 0.0, integrand(xq))
+    return xq - _grid_integral(integrand, lmin, xq, 0.0, integrand(np.array([xq]))[0])
 
 
 def uniform_codebook_bound(lam, r_fb: int, mode: str, seed: int, samples: int = 20000) -> float:

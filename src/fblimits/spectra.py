@@ -159,13 +159,24 @@ def sample_spectrum(n: int, m: int, seed: int) -> SpectrumSample:
     """
     if n < 1 or m < 1:
         raise ValueError(f"n and m must be >= 1, got n={n}, m={m}")
-    rng = np.random.default_rng(int(seed) & _SEED_MASK)
-    scale = math.sqrt(0.5)
-    h = scale * (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
-    a = (h @ h.conj().T) / m
+    h = _channel(np.random.default_rng(int(seed) & _SEED_MASK), n, m)
     try:
-        eigs = np.linalg.eigvalsh(a)
+        eigs = _clipped_eigs(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise EigenSolverError(f"eigvalsh failed for n={n}, m={m}, seed={seed}: {exc}") from exc
-    eigs = np.maximum(eigs, 0.0)
     return SpectrumSample(n=n, m=m, eigenvalues=eigs, seed=int(seed))
+
+
+def _complex_normal(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    """Real and imaginary parts i.i.d. N(0, 1); every Gaussian draw goes through here."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _channel(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
+    """n x m matrix of i.i.d. CN(0, 1) entries."""
+    return math.sqrt(0.5) * _complex_normal(rng, (n, m))
+
+
+def _clipped_eigs(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of (1/m) H H*, rounding below zero clipped to 0."""
+    return np.maximum(np.linalg.eigvalsh((h @ h.conj().T) / h.shape[1]), 0.0)

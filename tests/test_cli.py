@@ -71,6 +71,23 @@ def test_usage_errors_exit_2(argv):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["sweep", "--beta", "1"],
+        ["sweep", "--beta", "1", "--rate-min", "1", "--rate-max", "0.5"],
+        ["simulate", "--n", "4", "--m", "4", "--r-fb", "1", "--method", "cdf",
+         "--codebook", "designed"],
+        ["ldp", "--beta", "1", "--x", "9"],
+    ),
+    ids=("sweep-rates", "sweep-rate-order", "simulate-codebook", "ldp-x"),
+)
+def test_cross_flag_errors_print_their_subcommand_usage(argv):
+    code, _, err = run(argv)
+    assert code == 2
+    assert err.startswith(f"usage: fblimits {argv[0]} ")
+
+
 # A cheap valid command line per subcommand, and the first value below each
 # typed option's documented range (None: every int is a valid seed).
 BASE_ARGV = {
@@ -116,6 +133,24 @@ def test_every_typed_option_is_checked_by_argparse(tmp_path, monkeypatch):
                 failures.append((command, flag, value, code))
     assert seen == set(BELOW_RANGE)
     assert not failures, failures
+
+
+RECORD_PARAMS = {
+    "asymptotic": {"beta", "rate", "sigma2"},
+    "sweep": {"beta", "mode", "points", "rate_max", "rate_min", "rates", "sigma2"},
+    "simulate": {"codebook", "m", "method", "mode", "n", "r_fb", "samples", "seed",
+                 "threads", "trials"},
+    "design": {"codebook_out", "iterations", "n", "seed", "size"},
+    "ldp": {"beta", "samples", "seed", "sizes", "x"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(RECORD_PARAMS))
+def test_record_params_are_the_subcommand_flags(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run([command, *BASE_ARGV[command]])
+    assert code == 0
+    assert set(RunRecord.from_json(out).params) == RECORD_PARAMS[command]
 
 
 def test_unwritable_output_exits_3(tmp_path):
@@ -371,6 +406,8 @@ def test_codebook_loader_rejects_garbage(tmp_path):
     for lines, match in (
         ([magic, "# n=2 size=two kind=random seed=0", row0, row1], "malformed codebook header"),
         ([magic], "malformed codebook header"),
+        ([magic, "# n=2 size=0 kind=random seed=0"], "malformed codebook header"),
+        ([magic, "# n=0 size=1 kind=random seed=0", ""], "malformed codebook header"),
         ([magic, header, row0], "expected 2 codewords, found 1"),
         ([magic, header, row0 + " 0.0", row1 + " 0.0"], "expected 4 floats per row"),
         ([magic, header, row0, row1 + " 0.0"], "expected 4 floats per row"),

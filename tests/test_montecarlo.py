@@ -31,6 +31,8 @@ from fblimits import (
     uniform_codebook_bound,
 )
 
+from fblimits.montecarlo import _grid_integral
+
 TWO_POINT = np.array([0.0, 2.0])
 
 
@@ -538,6 +540,47 @@ def test_uniform_bound_sandwiches_the_random_ensemble():
         hi = uniform_codebook_bound(TWO_POINT, r_fb, "max", seed=13)
         assert lo <= mid + 0.01
         assert c_rand_via_cdf(TWO_POINT, r_fb, "max", 20000, seed=14) <= hi + 0.01
+
+
+@pytest.mark.parametrize(
+    "lam, r_fb",
+    [(np.array([1.0, 1.0 + 2e-16, 1.0 + 4e-16, 1.0 + 8e-16]), r) for r in (0, 1, 4)]
+    + [(np.full(3, 0.1), 0)],
+    ids=["narrow-r0", "narrow-r1", "narrow-r4", "flat-r0"],
+)
+def test_degenerate_spectra_follow_one_rule(lam, r_fb):
+    # Both CDF routes take degenerate input through the same rule: a spectrum
+    # narrower than 1e-14 returns its edge, even when r_fb = 0.
+    for mode in ("min", "max"):
+        want = c_rand_via_cdf(lam, r_fb, mode, 100, seed=0)
+        assert want == (lam.min() if mode == "min" else lam.max())
+        assert uniform_codebook_bound(lam, r_fb, mode, seed=0, samples=100) == want
+
+
+def test_grid_evaluates_a_round_at_a_time():
+    # Two unit steps: each round splits exactly the two intervals that
+    # straddle them, until the intervals reach the 1e-12 width floor.
+    calls = []
+
+    def steps(xs):
+        calls.append(xs.size)
+        return ((xs > 0.3) & (xs <= 0.7)).astype(float)
+
+    assert _grid_integral(steps, 0.0, 1.0, 0.0, 0.0) == pytest.approx(0.4, abs=1e-12)
+    assert calls == [62] + [2] * 34
+
+
+def test_grid_refuses_an_integrand_too_sharp_to_resolve():
+    calls = []
+
+    def wiggle(xs):
+        calls.append(xs.size)
+        return np.sin(1e6 * xs)
+
+    with pytest.raises(BudgetError, match="4096 nodes"):
+        _grid_integral(wiggle, 0.0, 1.0, 0.0, math.sin(1e6))
+    assert calls[0] == 62
+    assert 62 + sum(calls[1:]) <= 4096 - 2
 
 
 def test_uniform_bound_validation():
