@@ -5,6 +5,7 @@ of the exponential ratio is exactly mu(x) = x/2 there, so selected-extreme
 integrals, quantiles, and codebook bounds all have hand-derived values.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -292,6 +293,70 @@ def test_enumeration_outputs_are_pinned():
         for threads in (1, 2):
             cfg = SimConfig(n=2, m=3, r_fb=2, trials=6, seed=9, mode=mode)
             assert simulate_c_spectral(cfg, threads=threads) == want
+
+
+def _sha(vectors):
+    return hashlib.sha256(vectors.tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("n, size, want", [
+    (2, 511, 0.0022511621054673906),
+    (2, 512, 0.005499454808601329),
+    (2, 513, 0.001537198655352167),
+    (2, 1100, 0.0010581965155392367),
+    (2, 4096, 0.0002116748658256441),
+    (12, 511, 0.6055931080640508),
+    (12, 512, 0.5872192259544865),
+    (12, 513, 0.6092939355045415),
+    (12, 1100, 0.5262902781721801),
+    (12, 4096, 0.4580332438801486),
+])
+def test_min_chordal_is_pinned_across_gram_blocks(n, size, want):
+    # Sizes on both sides of the 512-row Gram block and several blocks
+    # deep; the blocked search must find the same pair to the last bit.
+    assert random_codebook(n, size, seed=3).min_chordal == want
+
+
+@pytest.mark.parametrize("n, size, want_chordal, want_sha", [
+    (4, 8, 0.9257662506982317, "4cb7ba66cd3af093"),  # criterion 9, n=4
+    (8, 64, 0.9266286014985624, "27767835e06e7974"),  # criterion 9, n=8
+    (3, 2, 1.0, "be084708c99eee18"),  # size <= n: the frame restart
+    (1, 3, 2.5809568279517847e-08, "c478ba9ec126df94"),  # every gain is 1
+])
+def test_designed_codebooks_are_pinned(n, size, want_chordal, want_sha):
+    # 800 iterations, 8 restarts: the descent path and the restart chosen
+    # must stay bit-identical; the vectors are pinned by their digest.
+    cb = design_codebook(n, size, seed=7)
+    assert cb.min_chordal == want_chordal
+    assert _sha(cb.vectors) == want_sha
+
+
+@pytest.mark.parametrize("n, m, r_fb, mode, fresh, fixed", [
+    (12, 12, 12, "min", (0.30469854736979857, 0.011303992368447749),
+     (0.3166041943482969, 0.019950226707324985)),
+    (12, 12, 12, "max", (2.25930603317097, 0.07338369747675005),
+     (2.2186685453448796, 0.08241156261761545)),
+    (8, 8, 8, "min", (0.33043153453509594, 0.04658446407235505),
+     (0.32062530055021415, 0.03583383711092569)),
+    (8, 8, 8, "max", (2.18044825525203, 0.10793840061780574),
+     (2.178518681906717, 0.1668023129251309)),
+    (1, 4, 3, "min", (5.650902765206958, 1.2002459214812335),
+     (5.6509027652069586, 1.200245921481234)),
+    (1, 4, 3, "max", (5.65090276520696, 1.2002459214812342),
+     (5.65090276520696, 1.2002459214812344)),
+])
+def test_direct_estimates_are_pinned(n, m, r_fb, mode, fresh, fixed):
+    # The draws are pinned exactly elsewhere; here only the quadratic form's
+    # summation order may move, by a few ulps per codeword, so the estimates
+    # are compared at 1e-13 relative.  The selected codeword must not change,
+    # or the estimate would move by far more than that.
+    cb = random_codebook(n, 1 << r_fb, seed=21)
+    cfg = SimConfig(n=n, m=m, r_fb=r_fb, trials=6, seed=9, mode=mode)
+    for threads in (1, 2):
+        for codebook, want in ((None, fresh), (cb, fixed)):
+            est = simulate_c_direct(cfg, codebook=codebook, threads=threads)
+            assert est.samples == 6
+            assert (est.mean, est.stderr) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_cdf_route_matches_direct_at_small_size():
