@@ -111,7 +111,7 @@ class Codebook:
 
 
 def _unit_rows(z: np.ndarray) -> np.ndarray:
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
 def _isotropic_rows(rng: np.random.Generator, size: int, n: int) -> np.ndarray:
@@ -119,13 +119,18 @@ def _isotropic_rows(rng: np.random.Generator, size: int, n: int) -> np.ndarray:
     return _unit_rows(_complex_normal(rng, (size, n)))
 
 
+def _real_rows(v: np.ndarray) -> np.ndarray:
+    """Rows [Re v, Im v]: complex C^n codewords embedded in R^2n."""
+    return np.concatenate((v.real, v.imag), axis=1)
+
+
 def _max_cross_gain(vectors: np.ndarray) -> float:
-    """Largest off-diagonal |<v_i, v_j>|^2, computed in row blocks."""
+    """Largest off-diagonal |<v_i, v_j>|^2, from row blocks of the Gram's upper triangle."""
     worst = 0.0
     conj_t = vectors.conj().T
     for start in range(0, vectors.shape[0], _GRAM_BLOCK):
-        p = np.abs(vectors[start:start + _GRAM_BLOCK] @ conj_t) ** 2
-        np.fill_diagonal(p[:, start:], 0.0)  # each row's gain with itself
+        p = np.abs(vectors[start:start + _GRAM_BLOCK] @ conj_t[:, start:]) ** 2
+        np.fill_diagonal(p, 0.0)  # each row's gain with itself
         worst = max(worst, float(p.max()))
     return worst
 
@@ -149,24 +154,25 @@ def min_chordal_distance(codebook: Codebook) -> float:
     return codebook.min_chordal
 
 
-def _design_descent(v0: np.ndarray, iterations: int) -> tuple[float, np.ndarray]:
+def _design_descent(v0: np.ndarray, iterations: int) -> np.ndarray:
     """Soft-min descent on the worst pairwise gain, rows kept unit norm.
 
-    Returns the least worst pairwise gain seen along the path and its
-    codebook.  Each iterate's gain comes from the Gram its gradient step
-    forms; the starting point is included, so the result never regresses.
+    v0 stacks restarts, shape (restarts, size, n), that step together.
+    Returns the codebook of least worst pairwise gain over every path and
+    iterate, starting points included, the earliest winning ties.
     """
     v = best_v = v0
-    best_gain = math.inf
+    best_gain = np.full(v0.shape[0], math.inf)
+    diag = np.arange(v0.shape[1])
     steps = max(1, iterations)
     for it in range(steps + 1):
-        g = v @ v.conj().T
+        g = v @ v.conj().transpose(0, 2, 1)
         p = np.abs(g) ** 2
-        np.fill_diagonal(p, 0.0)
-        gain = p.max()
-        if gain < best_gain:
-            best_gain = gain
-            best_v = v
+        p[:, diag, diag] = 0.0
+        gain = p.max(axis=(1, 2))
+        better = gain < best_gain
+        best_gain = np.where(better, gain, best_gain)
+        best_v = np.where(better[:, None, None], v, best_v)
         if it == steps:
             break
         frac = it / max(1, steps - 1)
@@ -175,14 +181,15 @@ def _design_descent(v0: np.ndarray, iterations: int) -> tuple[float, np.ndarray]
         # before the worst pairs equalize.
         tau = 8.0 * (1e6 / 8.0) ** frac
         eta = 0.7 * (2e-4 / 0.7) ** frac
-        w = np.exp(tau * (p - gain))
-        np.fill_diagonal(w, 0.0)
-        w /= w.sum()  # >= 1: the worst pair's weight is exp(0)
+        w = np.exp(tau * (p - gain[:, None, None]))
+        w[:, diag, diag] = 0.0
+        w /= w.reshape(len(w), -1).sum(axis=1)[:, None, None]  # >= 1: worst pair's is exp(0)
         grad = (w * g) @ v
-        scale = np.linalg.norm(grad, axis=1).max()
-        if scale > 0.0:
-            v = _unit_rows(v - (eta / scale) * grad)
-    return float(best_gain), best_v
+        scale = np.linalg.norm(grad, axis=-1).max(axis=1)[:, None, None]
+        # A restart with zero gradient (an orthonormal frame) stays put.
+        moved = _unit_rows(v - (eta / np.where(scale > 0.0, scale, 1.0)) * grad)
+        v = np.where(scale > 0.0, moved, v)
+    return best_v[int(np.argmin(best_gain))]
 
 
 def design_codebook(n: int, size: int, seed: int, iterations: int = 800) -> Codebook:
@@ -207,14 +214,8 @@ def design_codebook(n: int, size: int, seed: int, iterations: int = 800) -> Code
         q, _ = np.linalg.qr(_complex_normal(_rng(seed, 29), (n, n)))
         inits[1] = q[:size].copy()
 
-    best_gain = math.inf
-    best_v = inits[0]
-    for v0 in inits:
-        gain, v = _design_descent(v0, iterations)
-        if gain < best_gain:
-            best_gain = gain
-            best_v = v
-    return Codebook(n=n, vectors=best_v, kind="designed", seed=int(seed))
+    vectors = _design_descent(np.stack(inits), iterations)
+    return Codebook(n=n, vectors=vectors, kind="designed", seed=int(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +281,18 @@ def _run_trials(trials: int, threads: int, worker) -> np.ndarray:
     return vals
 
 
-def _check_budget(cfg: SimConfig) -> int:
+def _check_budget(cfg: SimConfig, codebook: Codebook | None = None) -> int:
+    """Codewords each trial enumerates: the codebook's size, else 2^r_fb."""
     # r_fb is tested first so 2^r_fb is never built for deep feedback.
-    if cfg.r_fb > 62 or (1 << cfg.r_fb) * cfg.n * cfg.trials > DIRECT_BUDGET:
+    k = 0 if cfg.r_fb > 62 else (1 << cfg.r_fb) if codebook is None else codebook.size
+    if k == 0 or k * cfg.n * cfg.trials > DIRECT_BUDGET:
+        words = f"2^{cfg.r_fb}" if codebook is None or k == 0 else k
         raise BudgetError(
-            f"enumeration of 2^{cfg.r_fb} codewords x n={cfg.n} x {cfg.trials} trials "
+            f"enumeration of {words} codewords x n={cfg.n} x {cfg.trials} trials "
             f"exceeds the budget of {DIRECT_BUDGET:.2e} element ops; "
             "use the conditional-CDF route instead"
         )
-    return 1 << cfg.r_fb
+    return k
 
 
 def simulate_c_direct(cfg: SimConfig, codebook: Codebook | None = None, threads: int = 1) -> Estimate:
@@ -297,18 +301,20 @@ def simulate_c_direct(cfg: SimConfig, codebook: Codebook | None = None, threads:
     codebook=None redraws an isotropic codebook every trial (the random
     ensemble); a fixed Codebook evaluates that specific design.
     """
-    k = _check_budget(cfg)
+    k = _check_budget(cfg, codebook)
     if codebook is not None and codebook.n != cfg.n:
         raise ValueError(f"codebook dimension {codebook.n} != cfg.n {cfg.n}")
-    fixed = None if codebook is None else codebook.vectors
+    fixed = None if codebook is None else _real_rows(codebook.vectors)
     pick = np.min if cfg.mode == "min" else np.max
 
     def worker(t: int) -> float:
         rng = _rng(cfg.seed, 1, t)
         h = _channel(rng, cfg.n, cfg.m)
         a = (h @ h.conj().T) / cfg.n
-        v = _isotropic_rows(rng, k, cfg.n) if fixed is None else fixed
-        quad = np.einsum("ki,ij,kj->k", v.conj(), a, v).real
+        vr = _real_rows(_isotropic_rows(rng, k, cfg.n)) if fixed is None else fixed
+        # Re(v* A v) = [Re v, Im v] A_r [Re v, Im v]^T: one real GEMM.
+        a_r = np.block([[a.real, -a.imag], [a.imag, a.real]])
+        quad = np.einsum("ij,ij->i", vr @ a_r, vr)
         return float(pick(quad))
 
     return _estimate_from(_run_trials(cfg.trials, threads, worker))

@@ -182,6 +182,22 @@ def test_enumeration_refuses_deep_feedback_but_cdf_route_runs():
     assert 0.0 < est.mean < 1.0
 
 
+def test_fixed_codebook_counts_its_own_size_against_the_budget():
+    # r_fb = 0 names one codeword, but the fixed codebook enumerates 10^6 of
+    # them: 10^6 x n=1 x 5001 trials is over the 5e9 budget.
+    big = random_codebook(1, 10**6, seed=0)
+    cfg = SimConfig(n=1, m=1, r_fb=0, trials=5001, seed=0)
+    with pytest.raises(BudgetError, match="1000000 codewords"):
+        simulate_c_direct(cfg, codebook=big)
+    # A small codebook at a deep r_fb runs its own size...
+    small = random_codebook(2, 4, seed=0)
+    est = simulate_c_direct(SimConfig(n=2, m=2, r_fb=40, trials=3, seed=0), codebook=small)
+    assert est.samples == 3
+    # ...but r_fb > 62 is refused whatever the codebook.
+    with pytest.raises(BudgetError, match="2\\^63 codewords"):
+        simulate_c_direct(SimConfig(n=2, m=2, r_fb=63, trials=3, seed=0), codebook=small)
+
+
 # ---------------------------------------------------------------------------
 # enumeration and spectral estimators
 
