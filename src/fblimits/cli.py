@@ -253,11 +253,11 @@ def _cmd_simulate(args, parser: argparse.ArgumentParser) -> dict:
         # The budget is checked before 2^r_fb codewords are designed.
         codebook = design_codebook(cfg.n, _check_budget(cfg), cfg.seed)
     if args.method == "direct":
-        est = simulate_c_direct(cfg, codebook=codebook, threads=args.threads)
+        est = simulate_c_direct(cfg, codebook=codebook)
     elif args.method == "spectral":
-        est = simulate_c_spectral(cfg, threads=args.threads)
+        est = simulate_c_spectral(cfg)
     else:
-        est = simulate_c_cdf(cfg, samples=args.samples, threads=args.threads)
+        est = simulate_c_cdf(cfg, samples=args.samples)
 
     beta = cfg.n / cfg.m
     rate = cfg.r_fb / cfg.n
@@ -388,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="designed packs a codebook first (direct method only)",
     )
     sp.add_argument("--samples", type=_number(int, 2), default=20000, help="CDF-route sample panel size")
-    sp.add_argument("--threads", type=_COUNT, default=1, help="worker threads; never changes results")
     sp.add_argument("--seed", type=int, default=0)
     common(sp)
 

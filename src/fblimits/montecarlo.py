@@ -14,8 +14,8 @@ sampling with exact likelihood ratios, which keeps log-probabilities
 accurate far into the tails.
 
 All randomness flows through counter-based substreams derived from
-(seed, role, trial), so results are independent of execution order and of
-the number of worker threads.
+(seed, role, trial), so results are independent of execution order.  Trials
+run in order on the calling thread; BLAS threads are the only parallelism.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -251,34 +250,11 @@ class Estimate:
     samples: int
 
 
-def _estimate_from(vals: np.ndarray) -> Estimate:
-    n = vals.size
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return Estimate(mean=float(vals.mean()), stderr=stderr, samples=n)
-
-
-def _run_trials(trials: int, threads: int, worker) -> np.ndarray:
-    """Fill one slot per trial; the slot layout makes the merge order-free."""
-    vals = np.empty(trials, dtype=float)
-
-    def run_range(lo: int, hi: int) -> None:
-        for t in range(lo, hi):
-            vals[t] = worker(t)
-
-    threads = max(1, int(threads))
-    if threads == 1 or trials < 2 * threads:
-        run_range(0, trials)
-        return vals
-    bounds = np.linspace(0, trials, threads + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(run_range, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        for f in futures:
-            f.result()
-    return vals
+def _estimate_from(trials: int, worker) -> Estimate:
+    """Mean and standard error of worker(t) over trials t = 0..trials-1."""
+    vals = np.array([worker(t) for t in range(trials)], dtype=float)
+    stderr = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return Estimate(mean=float(vals.mean()), stderr=stderr, samples=trials)
 
 
 def _check_budget(cfg: SimConfig, codebook: Codebook | None = None) -> int:
@@ -300,6 +276,7 @@ def simulate_c_direct(cfg: SimConfig, codebook: Codebook | None = None, threads:
 
     codebook=None redraws an isotropic codebook every trial (the random
     ensemble); a fixed Codebook evaluates that specific design.
+    `threads` is accepted and ignored: trials run in order on this thread.
     """
     k = _check_budget(cfg, codebook)
     if codebook is not None and codebook.n != cfg.n:
@@ -317,7 +294,7 @@ def simulate_c_direct(cfg: SimConfig, codebook: Codebook | None = None, threads:
         quad = np.einsum("ij,ij->i", vr @ a_r, vr)
         return float(pick(quad))
 
-    return _estimate_from(_run_trials(cfg.trials, threads, worker))
+    return _estimate_from(cfg.trials, worker)
 
 
 def simulate_c_spectral(cfg: SimConfig, threads: int = 1) -> Estimate:
@@ -326,6 +303,7 @@ def simulate_c_spectral(cfg: SimConfig, threads: int = 1) -> Estimate:
     Conditional on the spectrum of (1/m) H H*, each isotropic codeword's
     quadratic form is distributed as sum(lam_i Y_i)/sum(Y_i) with Y ~ Exp(1)
     i.i.d.; the m/n factor converts back to (1/n) H H* units.
+    `threads` is accepted and ignored: trials run in order on this thread.
     """
     k = _check_budget(cfg)
     pick = np.min if cfg.mode == "min" else np.max
@@ -338,7 +316,7 @@ def simulate_c_spectral(cfg: SimConfig, threads: int = 1) -> Estimate:
         ratios = (y @ lam) / y.sum(axis=1)
         return factor * float(pick(ratios))
 
-    return _estimate_from(_run_trials(cfg.trials, threads, worker))
+    return _estimate_from(cfg.trials, worker)
 
 
 def simulate_c_cdf(cfg: SimConfig, samples: int = 20000, threads: int = 1) -> Estimate:
@@ -349,6 +327,7 @@ def simulate_c_cdf(cfg: SimConfig, samples: int = 20000, threads: int = 1) -> Es
     as an enumeration count.  Far cheaper than simulate_c_direct once
     2^r_fb codewords stop fitting in memory, at the price of a small
     integration bias controlled by `samples` and the grid refinement.
+    `threads` is accepted and ignored: trials run in order on this thread.
     """
     factor = cfg.m / cfg.n
 
@@ -359,7 +338,7 @@ def simulate_c_cdf(cfg: SimConfig, samples: int = 20000, threads: int = 1) -> Es
         )
         return factor * val
 
-    return _estimate_from(_run_trials(cfg.trials, threads, worker))
+    return _estimate_from(cfg.trials, worker)
 
 
 # ---------------------------------------------------------------------------

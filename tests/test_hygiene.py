@@ -29,6 +29,24 @@ def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
 
 
+def _imported_modules(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_python_thread_pools(path):
+    banned = {"concurrent.futures", "threading"}
+    found = banned & _imported_modules(ast.parse(path.read_text()))
+    assert not found, f"{path.name} imports {sorted(found)}; parallelism is left to BLAS"
+
+
 def test_unused_import_check_sees_dead_names():
     tree = ast.parse("import math\nfrom os import path as p, sep\nprint(sep)\n")
     assert _unused_imports(tree) == ["math (line 1)", "p (line 2)"]
