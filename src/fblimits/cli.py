@@ -350,8 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=summary)
-        # A check across two flags then prints this subcommand's usage line.
-        sp.set_defaults(run=lambda args: handler(args, sp))
+        # Leftover arguments and checks across two flags then print this
+        # subcommand's usage line.
+        sp.set_defaults(run=handler, parser=sp)
         return sp
 
     def common(sp: argparse.ArgumentParser) -> None:
@@ -414,9 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
         start = time.perf_counter()
-        payload = args.run(args)
+        payload = args.run(args, args.parser)
     except SystemExit as exc:  # argparse, or a handler's check across flags
         return int(exc.code or 0)
     except BudgetError as exc:
@@ -452,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _record_params(args: argparse.Namespace) -> dict:
-    skip = {"command", "run", "format", "out"}
+    skip = {"command", "run", "parser", "format", "out"}
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 

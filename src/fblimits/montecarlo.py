@@ -56,6 +56,7 @@ _LN2 = math.log(2.0)
 DIRECT_BUDGET = 5_000_000_000  # max 2^R_fb * n * trials for enumeration paths
 
 _GRAM_BLOCK = 512  # Gram rows formed at once by _max_cross_gain
+_LEVEL_BLOCK = 16  # CDF levels whose tilted sums _log_cdf forms at once
 
 
 class BudgetError(RuntimeError):
@@ -404,39 +405,46 @@ def _tilt_root(coeffs: np.ndarray) -> float:
     return brentq(g, lo, hi, xtol=1e-13, rtol=8.9e-16)
 
 
-def _log_cdf(arr: np.ndarray, expo: np.ndarray, x: float) -> tuple[float, float, float, float]:
-    """log P(sum (arr_i - x) Y_i <= 0) by exact-likelihood-ratio tilting.
+def _log_cdf(arr: np.ndarray, expo: np.ndarray, xs) -> list[tuple[float, float, float, float]]:
+    """log P(sum (arr_i - x) Y_i <= 0) at each level x of xs, by exact-likelihood-ratio tilting.
 
-    expo is a _panel of the spectrum.  The indicator is taken on the rare
-    side of the tilt.  Returns (log_prob, effective sample size, stderr of
-    the rare-side log estimate, gamma).
+    expo is a _panel of the spectrum.  Each level keeps its own tilt root;
+    the tilted sums of _LEVEL_BLOCK levels come from one panel product.  The
+    indicator is taken on the rare side of the tilt.  Returns, per level,
+    (log_prob, effective sample size, stderr of the rare-side log estimate,
+    gamma).
     """
-    coeffs = arr - x
-    gamma = _tilt_root(coeffs)
-    rho = 1.0 - gamma * coeffs
-    s = expo @ (coeffs / rho)
-    log_w = -float(np.log(rho).sum()) - gamma * s
-    lower = float(coeffs.sum()) >= 0.0
-    mask = (s <= 0.0) if lower else (s > 0.0)
-    if not mask.any():
-        log_p, ess, se_log = -math.inf, 0.0, math.inf
-    else:
-        lw = log_w[mask]
-        m = float(lw.max())
-        u = np.exp(lw - m)
-        s1 = float(u.sum())
-        s2 = float((u * u).sum())
-        n = expo.shape[0]
-        log_p = m + math.log(s1) - math.log(n)
-        ess = s1 * s1 / s2
-        # stderr of log p from the weight second moment (weights off the
-        # event count as zero).
-        ratio = n * s2 / (s1 * s1) - 1.0
-        se_log = math.sqrt(max(ratio, 0.0) / n)
-    if not lower:
-        q = math.exp(min(log_p, -1e-17))
-        log_p = math.log1p(-min(q, 1.0 - 1e-16))
-    return log_p, ess, se_log, gamma
+    xs = np.asarray(xs, dtype=float)
+    n = expo.shape[0]
+    buf = np.empty((min(_LEVEL_BLOCK, xs.size), n))
+    out = []
+    for start in range(0, xs.size, _LEVEL_BLOCK):
+        coeffs = arr - xs[start:start + _LEVEL_BLOCK, None]
+        gammas = np.array([_tilt_root(c) for c in coeffs])
+        rho = 1.0 - gammas[:, None] * coeffs
+        sums = np.matmul(coeffs / rho, expo.T, out=buf[:len(coeffs)])
+        for c, gamma, r, s in zip(coeffs, gammas.tolist(), rho, sums):
+            lower = float(c.sum()) >= 0.0
+            hits = np.compress((s <= 0.0) if lower else (s > 0.0), s)
+            if hits.size == 0:
+                log_p, ess, se_log = -math.inf, 0.0, math.inf
+            else:
+                lw = -float(np.log(r).sum()) - gamma * hits
+                m = float(lw.max())
+                u = np.exp(lw - m)
+                s1 = float(u.sum())
+                s2 = float((u * u).sum())
+                log_p = m + math.log(s1) - math.log(n)
+                ess = s1 * s1 / s2
+                # stderr of log p from the weight second moment (weights off
+                # the event count as zero).
+                ratio = n * s2 / (s1 * s1) - 1.0
+                se_log = math.sqrt(max(ratio, 0.0) / n)
+            if not lower:
+                q = math.exp(min(log_p, -1e-17))
+                log_p = math.log1p(-min(q, 1.0 - 1e-16))
+            out.append((log_p, ess, se_log, gamma))
+    return out
 
 
 def conditional_cdf_tilted(lam, x: float, samples: int, seed: int) -> TiltedCdfResult:
@@ -454,7 +462,7 @@ def conditional_cdf_tilted(lam, x: float, samples: int, seed: int) -> TiltedCdfR
         )
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-    log_p, ess, _, gamma = _log_cdf(arr, _panel(arr, samples, seed, 11), x)
+    ((log_p, ess, _, gamma),) = _log_cdf(arr, _panel(arr, samples, seed, 11), [x])
     if ess < 10.0:
         raise ReliabilityError(
             f"effective sample size {ess:.2f} < 10 at x={x:.6g}; "
@@ -549,15 +557,15 @@ def _level_bisect(arr: np.ndarray, expo: np.ndarray, target: float, se_stop: boo
     span = lmax - lmin
     a = max(lmin + 1e-9 * span, float(np.nextafter(lmin, lmax)))
     b = min(lmax - 1e-9 * span, float(np.nextafter(lmax, lmin)))
-    if _log_cdf(arr, expo, a)[0] >= target:
+    if _log_cdf(arr, expo, [a])[0][0] >= target:
         return a
-    if _log_cdf(arr, expo, b)[0] <= target:
+    if _log_cdf(arr, expo, [b])[0][0] <= target:
         return b
     for _ in range(80):
         mid = 0.5 * (a + b)
         if (b - a) <= 1e-9 * span:
             return mid
-        log_p, _, se, _ = _log_cdf(arr, expo, mid)
+        ((log_p, _, se, _),) = _log_cdf(arr, expo, [mid])
         if se_stop and abs(log_p - target) <= se:
             return mid
         if log_p < target:
@@ -597,7 +605,7 @@ def _c_min_via_cdf(arr: np.ndarray, r_fb: int, samples: int, seed: int) -> float
     expo = _panel(arr, samples, seed, 12)
 
     def integrand(xs: np.ndarray) -> np.ndarray:
-        return np.array([_survival_power(_log_cdf(arr, expo, x)[0], r_fb) for x in xs.tolist()])
+        return np.array([_survival_power(lp, r_fb) for lp, *_ in _log_cdf(arr, expo, xs)])
 
     return lmin + _grid_integral(integrand, lmin, float(arr.max()), 1.0, 0.0)
 
@@ -636,7 +644,7 @@ def _uniform_min_bound(arr: np.ndarray, r_fb: int, samples: int, seed: int) -> f
 
     def integrand(xs: np.ndarray) -> np.ndarray:
         # min(2^r_fb mu(x), 1), evaluated in logs.
-        logs = [r_fb * _LN2 + _log_cdf(arr, expo, x)[0] for x in xs.tolist()]
+        logs = [r_fb * _LN2 + lp for lp, *_ in _log_cdf(arr, expo, xs)]
         return np.array([math.exp(min(0.0, t)) for t in logs])
 
     # Quantile at 2^-r_fb with the same exponential panel.

@@ -80,8 +80,11 @@ def test_usage_errors_exit_2(argv):
         ["simulate", "--n", "4", "--m", "4", "--r-fb", "1", "--method", "cdf",
          "--codebook", "designed"],
         ["ldp", "--beta", "1", "--x", "9"],
+        ["simulate", "--n", "4", "--m", "4", "--r-fb", "1", "--trials", "5", "--threads", "2"],
+        ["asymptotic", "--beta", "1", "--rate", "1", "--threads", "0"],
     ),
-    ids=("sweep-rates", "sweep-rate-order", "simulate-codebook", "ldp-x"),
+    ids=("sweep-rates", "sweep-rate-order", "simulate-codebook", "ldp-x",
+         "simulate-unknown-flag", "asymptotic-unknown-flag"),
 )
 def test_cross_flag_errors_print_their_subcommand_usage(argv):
     code, _, err = run(argv)

@@ -47,6 +47,31 @@ def test_no_python_thread_pools(path):
     assert not found, f"{path.name} imports {sorted(found)}; parallelism is left to BLAS"
 
 
+ENV_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ENV_READS:
+            if isinstance(node.value, ast.Name) and node.value.id == "os":
+                found.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, f"os.{a.name}") for a in node.names if a.name in ENV_READS]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_environment_variables(path):
+    # Block sizes and other tuning values are module constants, not knobs.
+    assert _environment_reads(ast.parse(path.read_text())) == []
+
+
+def test_environment_check_sees_reads():
+    tree = ast.parse("import os\nfrom os import getenv\nos.environ.get('A')\nprint(os.getenv('B'))\n")
+    assert _environment_reads(tree) == ["os.getenv (line 2)", "os.environ (line 3)", "os.getenv (line 4)"]
+
+
 def test_unused_import_check_sees_dead_names():
     tree = ast.parse("import math\nfrom os import path as p, sep\nprint(sep)\n")
     assert _unused_imports(tree) == ["math (line 1)", "p (line 2)"]

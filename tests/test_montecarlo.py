@@ -32,7 +32,7 @@ from fblimits import (
     uniform_codebook_bound,
 )
 
-from fblimits.montecarlo import _grid_integral
+from fblimits.montecarlo import _LEVEL_BLOCK, _grid_integral, _log_cdf, _panel
 
 TWO_POINT = np.array([0.0, 2.0])
 
@@ -487,6 +487,36 @@ def test_tilted_cdf_outputs_are_pinned():
     assert uniform_codebook_bound(lam, 24, "max", seed=4, samples=4000) == pytest.approx(
         2.4990897610777867, rel=1e-12
     )
+
+
+def _rel_gap(a: float, b: float) -> float:
+    return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("count", [1, _LEVEL_BLOCK - 1, _LEVEL_BLOCK, _LEVEL_BLOCK + 1, 62])
+def test_level_blocks_match_one_level_calls(count):
+    # A block's tilted sums come from one GEMM instead of one GEMV per level,
+    # which may move the last bits of each sum: 1e-13 relative allows that
+    # and nothing more.  The tilt root never sees the panel, so gamma is exact.
+    lam = sample_spectrum(48, 24, seed=0).eigenvalues
+    expo = _panel(lam, 4000, seed=5, role=12)
+    span = lam.max() - lam.min()
+    xs = np.linspace(lam.min() + 0.02 * span, lam.max() - 0.02 * span, count)
+    lower = [float((lam - x).sum()) >= 0.0 for x in xs]
+    if count >= _LEVEL_BLOCK - 1:
+        # The levels straddle the mean, so the rare side flips inside a block.
+        assert any(len(set(lower[i:i + _LEVEL_BLOCK])) == 2 for i in range(0, count, _LEVEL_BLOCK))
+    singles = [_log_cdf(lam, expo, [x])[0] for x in xs]
+    block = _log_cdf(lam, expo, xs)
+    assert len(block) == count
+    for got, want in zip(block, singles):
+        assert got[3] == want[3]
+        assert max(_rel_gap(g, w) for g, w in zip(got[:3], want[:3])) <= 1e-13
+    order = np.random.default_rng(0).permutation(count)
+    shuffled = _log_cdf(lam, expo, xs[order])
+    for got, i in zip(shuffled, order):
+        assert got[3] == block[i][3]
+        assert max(_rel_gap(g, w) for g, w in zip(got[:3], block[i][:3])) <= 1e-13
 
 
 def test_tilted_domain_and_reliability_errors():
