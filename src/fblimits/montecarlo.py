@@ -73,9 +73,18 @@ def _seed_sequence(seed: int, *path: int) -> np.random.SeedSequence:
 
 def _rng(seed: int, *path: int) -> np.random.Generator:
     # Philox is counter-based, so disjoint (seed, path) tuples give
-    # independent streams.  Exponential draws everywhere use method="inv"
-    # (inverse CDF) to stay bit-stable across numpy's ziggurat revisions.
+    # independent streams.  Exponential draws all take the inverse CDF of
+    # random() uniforms (_exponentials); a draw's last bit depends on numpy's
+    # log1p build, AVX-512 SIMD or libm, which are at most 1 ulp apart.
     return np.random.Generator(np.random.Philox(seed=_seed_sequence(seed, *path)))
+
+
+def _exponentials(rng: np.random.Generator, shape) -> np.ndarray:
+    """Exp(1) draws -log1p(-u), one uniform u each, transformed in place."""
+    u = rng.random(shape)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    return np.negative(u, out=u)
 
 
 def _child_seed(seed: int, *path: int) -> int:
@@ -313,7 +322,7 @@ def simulate_c_spectral(cfg: SimConfig, threads: int = 1) -> Estimate:
     def worker(t: int) -> float:
         rng = _rng(cfg.seed, 2, t)
         lam = _clipped_eigs(_channel(rng, cfg.n, cfg.m))
-        y = rng.standard_exponential((k, cfg.n), method="inv")
+        y = _exponentials(rng, (k, cfg.n))
         ratios = (y @ lam) / y.sum(axis=1)
         return factor * float(pick(ratios))
 
@@ -365,7 +374,7 @@ def conditional_cdf_mc(lam, x: float, samples: int, seed: int) -> float:
     chunk = max(1, min(remaining, 8_000_000 // max(1, arr.size)))
     while remaining > 0:
         take = min(chunk, remaining)
-        s = rng.standard_exponential((take, arr.size), method="inv") @ coeffs
+        s = _exponentials(rng, (take, arr.size)) @ coeffs
         hits += int(np.count_nonzero(s <= 0.0))
         remaining -= take
     return hits / samples
@@ -381,7 +390,7 @@ class TiltedCdfResult:
 
 def _panel(arr: np.ndarray, samples: int, seed: int, role: int) -> np.ndarray:
     """Standard exponential draws, one row of len(arr) per sample."""
-    return _rng(seed, role).standard_exponential((int(samples), arr.size), method="inv")
+    return _exponentials(_rng(seed, role), (int(samples), arr.size))
 
 
 def _tilt_root(coeffs: np.ndarray) -> float:

@@ -72,6 +72,12 @@ def test_environment_check_sees_reads():
     assert _environment_reads(tree) == ["os.getenv (line 2)", "os.environ (line 3)", "os.getenv (line 4)"]
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_exponential_draws_have_one_home(path):
+    # montecarlo._exponentials draws every Exp(1) variate in the package.
+    assert "standard_exponential" not in path.read_text()
+
+
 def test_unused_import_check_sees_dead_names():
     tree = ast.parse("import math\nfrom os import path as p, sep\nprint(sep)\n")
     assert _unused_imports(tree) == ["math (line 1)", "p (line 2)"]

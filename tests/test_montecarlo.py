@@ -32,7 +32,7 @@ from fblimits import (
     uniform_codebook_bound,
 )
 
-from fblimits.montecarlo import _LEVEL_BLOCK, _grid_integral, _log_cdf, _panel
+from fblimits.montecarlo import _LEVEL_BLOCK, _exponentials, _grid_integral, _log_cdf, _panel, _rng
 
 TWO_POINT = np.array([0.0, 2.0])
 
@@ -394,6 +394,20 @@ def test_cdf_route_matches_spectral_at_acceptance_shape():
         assert abs(a.mean - b.mean) <= 3.0 * math.hypot(a.stderr, b.stderr)
 
 
+def test_exponentials_are_the_inverse_cdf_on_one_uniform_each():
+    # numpy's inverse-CDF draw is -log1p(-u) on the same uniforms, through
+    # libm's log1p; a SIMD log1p may differ from it in the last bit only.
+    ours, theirs = _rng(3, 12), _rng(3, 12)
+    got = _exponentials(ours, (2000, 48))
+    want = theirs.standard_exponential((2000, 48), method="inv")
+    assert got.shape == want.shape
+    assert (np.abs(got - want) <= np.spacing(want)).all()
+    assert (np.abs(got - want) <= 2.3e-16 * want).all()
+    # One uniform per draw: both streams end in the same state, which
+    # simulate_c_spectral relies on to draw its channel and weights from one.
+    assert ours.random() == theirs.random()
+
+
 # ---------------------------------------------------------------------------
 # conditional CDF estimators
 
@@ -487,6 +501,21 @@ def test_tilted_cdf_outputs_are_pinned():
     assert uniform_codebook_bound(lam, 24, "max", seed=4, samples=4000) == pytest.approx(
         2.4990897610777867, rel=1e-12
     )
+
+
+def test_tilted_route_outputs_are_pinned_at_full_panels():
+    # The extreme integrals, the quantile and the codebook bound on
+    # 20000-sample panels, at criterion 5's shape (m = n/2, r_fb = n) and at
+    # n = m = 48.  A panel draw that moves them past 1e-12 fails here.
+    for n, want in ((16, (0.13115103561481092, 3.100986712168821)),
+                    (48, (0.11216856880685473, 3.295202608625663))):
+        lam = sample_spectrum(n, n // 2, seed=0).eigenvalues
+        for mode, value in zip(("min", "max"), want):
+            assert c_rand_via_cdf(lam, n, mode, 20000, seed=1) == pytest.approx(value, rel=1e-12)
+    lam = sample_spectrum(48, 48, seed=0).eigenvalues
+    assert quantile_x_n(lam, 2.0**-48, seed=2) == pytest.approx(0.25981836704365024, rel=1e-12)
+    assert uniform_codebook_bound(lam, 48, "min", seed=3) == pytest.approx(0.25306972860265026, rel=1e-12)
+    assert uniform_codebook_bound(lam, 48, "max", seed=3) == pytest.approx(2.532928048828711, rel=1e-12)
 
 
 def _rel_gap(a: float, b: float) -> float:
