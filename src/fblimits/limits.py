@@ -18,14 +18,8 @@ import dataclasses
 import math
 
 from ._brent import brentq
-from .ratefn import (
-    ConsistencyError,
-    RateContext,
-    _edge_log_moment_lower,
-    _edge_log_moment_upper,
-    rate_zero,
-)
-from .spectra import mp_law
+from .ratefn import ConsistencyError, RateContext, _edge_log_moment, rate_zero
+from .spectra import MpLaw, mp_law
 
 __all__ = [
     "AsymptoticResult",
@@ -72,12 +66,17 @@ def thresholds(beta: float) -> tuple[float | None, float]:
     if not (math.isfinite(beta) and beta > 0.0):
         raise ValueError(f"beta must be finite and positive, got {beta!r}")
     root = math.sqrt(beta)
-    r_max = (root - math.log1p(root)) / (beta * _LN2)
-    if beta < 1.0:
-        r_min = (-math.log1p(-root) - root) / (beta * _LN2)
-    else:
-        r_min = None
+    # One expression on side s; log1p(-sqrt(beta)) is a domain error for beta >= 1.
+    r_min, r_max = (
+        (s * root - math.log1p(s * root)) / (beta * _LN2) if s > 0.0 or beta < 1.0 else None
+        for s in (-1.0, 1.0)
+    )
     return r_min, r_max
+
+
+def _side(law: MpLaw, side: str) -> tuple[float, float]:
+    """Side sign s (-1 for 'minus', +1 for 'plus') and the support edge there."""
+    return (-1.0, law.lambda_t_minus) if side == "minus" else (1.0, law.lambda_plus)
 
 
 def _fixed_point(beta: float, r: float, side: str) -> float:
@@ -101,18 +100,25 @@ def _fixed_point(beta: float, r: float, side: str) -> float:
     return math.exp(u)
 
 
+def _solve_x(beta: float, r: float, side: str) -> tuple[float, str]:
+    """Level and branch on one side; the side sign s mirrors the explicit edge branch."""
+    _check_beta_r(beta, r)
+    r_min, r_max = thresholds(beta)
+    threshold = r_min if side == "minus" else r_max
+    if threshold is not None and r > threshold:
+        law = mp_law(beta)
+        s, edge = _side(law, side)
+        return edge - s * math.exp(_edge_log_moment(law, s) - r * _LN2), "explicit"
+    return _fixed_point(beta, r, side), "fixed_point"
+
+
 def solve_x_minus(beta: float, r: float) -> tuple[float, str]:
     """Lower level x_r_minus and the branch ('explicit' or 'fixed_point').
 
     The explicit branch inverts the lower-edge rate at zero,
     integral log(lam - lambda_minus) d mu - log(x - lambda_minus) = r log 2.
     """
-    _check_beta_r(beta, r)
-    r_min, _ = thresholds(beta)
-    if r_min is not None and r > r_min:
-        law = mp_law(beta)
-        return law.lambda_minus + math.exp(_edge_log_moment_lower(law) - r * _LN2), "explicit"
-    return _fixed_point(beta, r, "minus"), "fixed_point"
+    return _solve_x(beta, r, "minus")
 
 
 def solve_x_plus(beta: float, r: float) -> tuple[float, str]:
@@ -121,12 +127,7 @@ def solve_x_plus(beta: float, r: float) -> tuple[float, str]:
     The explicit branch inverts the upper-edge rate at zero,
     integral log(lambda_plus - lam) d mu - log(lambda_plus - x) = r log 2.
     """
-    _check_beta_r(beta, r)
-    _, r_max = thresholds(beta)
-    if r > r_max:
-        law = mp_law(beta)
-        return law.lambda_plus - math.exp(_edge_log_moment_upper(law) - r * _LN2), "explicit"
-    return _fixed_point(beta, r, "plus"), "fixed_point"
+    return _solve_x(beta, r, "plus")
 
 
 def solve_x_by_rate(beta: float, r: float, side: str) -> float:
@@ -142,37 +143,25 @@ def solve_x_by_rate(beta: float, r: float, side: str) -> float:
     law = mp_law(beta)
     target = r * _LN2
     root = math.sqrt(beta)
+    s, edge = _side(law, side)
 
-    if side == "minus":
-        edge = law.lambda_t_minus
+    def value_at(w: float) -> float:
+        return rate_zero(RateContext(law, edge - s * math.exp(w))).value - target
 
-        def value_at(w: float) -> float:
-            return rate_zero(RateContext(law, edge + math.exp(w))).value - target
-
-        # Guaranteed-sign left bracket: for beta >= 1 the interior rate obeys
-        # rate(e^w) >= (-1 - w)/beta, for beta < 1 the lower edge branch is
-        # exactly edge_log_moment - w once x <= 1 - sqrt(beta).
-        if law.beta >= 1.0:
-            w_lo = -2.0 - law.beta * target
-        else:
-            w_lo = min(math.log(root * (1.0 - root)), _edge_log_moment_lower(law) - target) - 1.0
+    # Guaranteed-sign left bracket: the edge branch is exactly edge_log_moment - w
+    # once x is past 1 + s sqrt(beta).  The lower side at beta >= 1 has an atom at
+    # zero instead, and there the interior rate obeys rate(e^w) >= (-1 - w)/beta.
+    if s < 0.0 and law.beta >= 1.0:
+        w_lo = -2.0 - law.beta * target
     else:
-        edge = law.lambda_plus
-
-        def value_at(w: float) -> float:
-            return rate_zero(RateContext(law, edge - math.exp(w))).value - target
-
-        # Upper edge branch is edge_log_moment - w once x >= 1 + sqrt(beta).
-        w_lo = min(math.log(root * (1.0 + root)), _edge_log_moment_upper(law) - target) - 1.0
-
+        w_lo = min(math.log(root * (1.0 + s * root)), _edge_log_moment(law, s) - target) - 1.0
     w_hi = math.log(abs(1.0 - edge)) - 1e-9  # just inside x = 1, where the rate is ~0
     if value_at(w_lo) <= 0.0 or value_at(w_hi) >= 0.0:
         raise ConsistencyError(
             f"rate equation bracket failed for beta={beta}, r={r}, side={side}"
         )
     w = brentq(value_at, w_lo, w_hi, xtol=1e-13, rtol=8.9e-16)
-    x = edge + math.exp(w) if side == "minus" else edge - math.exp(w)
-    return x
+    return edge - s * math.exp(w)
 
 
 def asymptotic_limits(beta: float, r: float) -> AsymptoticResult:

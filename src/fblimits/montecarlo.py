@@ -506,10 +506,8 @@ def ldp_rate_estimate(beta: float, x: float, n_list, samples: int, seed: int) ->
             raise ReliabilityError(
                 f"level x={x:.6g} fell outside the sampled spectrum at n={n}"
             )
-        if x > 1.0:
-            res = conditional_cdf_tilted(-eigs, -x, samples, _child_seed(seed, 22, n))
-        else:
-            res = conditional_cdf_tilted(eigs, x, samples, _child_seed(seed, 22, n))
+        sign = -1.0 if x > 1.0 else 1.0
+        res = conditional_cdf_tilted(sign * eigs, sign * x, samples, _child_seed(seed, 22, n))
         out.append((n, -res.log_prob / n))
     return out
 
@@ -584,12 +582,17 @@ def _level_bisect(arr: np.ndarray, expo: np.ndarray, target: float, se_stop: boo
     return 0.5 * (a + b)
 
 
+def _is_degenerate(lmin: float, lmax: float) -> bool:
+    """A spectrum no wider than 1e-14 * max(1, |upper edge|) counts as one point."""
+    return lmax - lmin <= 1e-14 * max(1.0, abs(lmax))
+
+
 def _min_or_mirrored_max(fn, lam, r_fb: int, mode: str, samples: int, seed: int) -> float:
     """Validate, then run fn on the spectrum (min) or its negation (max).
 
-    Degenerate input never reaches fn: a spectrum no wider than
-    1e-14 * max(1, |upper edge|) (taken after the negation) returns its
-    edge, and r_fb = 0, a single codeword, returns the spectrum mean.
+    Degenerate input never reaches fn: a degenerate spectrum (_is_degenerate,
+    taken after the negation) returns its edge, and r_fb = 0, a single
+    codeword, returns the spectrum mean.
     """
     arr = _as_spectrum(lam)
     if r_fb < 0:
@@ -602,7 +605,7 @@ def _min_or_mirrored_max(fn, lam, r_fb: int, mode: str, samples: int, seed: int)
     arr = sign * arr
     lmin = float(arr.min())
     lmax = float(arr.max())
-    if lmax - lmin <= 1e-14 * max(1.0, abs(lmax)):
+    if _is_degenerate(lmin, lmax):
         return sign * lmin
     if r_fb == 0:
         return sign * float(arr.mean())
@@ -636,11 +639,12 @@ def quantile_x_n(lam, p: float, seed: int, samples: int = 20000) -> float:
 
     Common random numbers across bisection steps keep the estimated CDF
     monotone in x, so the search is stable even for p around 2^(-200).
+    A degenerate spectrum (_is_degenerate) raises ValueError.
     """
     arr = _as_spectrum(lam)
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must be in (0, 1), got {p!r}")
-    if float(arr.min()) == float(arr.max()):
+    if _is_degenerate(float(arr.min()), float(arr.max())):
         raise ValueError("spectrum is degenerate; the quantile is not defined")
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")

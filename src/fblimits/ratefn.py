@@ -204,31 +204,19 @@ def optimal_tilt(ctx: RateContext) -> float:
     """
     law, x = ctx.law, ctx.x
     root = math.sqrt(law.beta)
+    lo, hi = ctx.interval()
     if x >= 1.0 + root:
-        return 1.0 / (law.lambda_plus - x)
+        return hi
     if law.beta < 1.0 and x <= 1.0 - root:
-        return -1.0 / (x - law.lambda_minus)
+        return lo
     return (x - 1.0) / (law.beta * x)
 
 
-def _edge_log_moment_lower(law: MpLaw) -> float:
-    """integral log(lam - lambda_minus) d mu for beta < 1, in closed form."""
+def _edge_log_moment(law: MpLaw, s: float) -> float:
+    """integral log(s (edge - lam)) d mu, closed form; s = -1 (lower edge) needs beta < 1."""
     root = math.sqrt(law.beta)
-    return (
-        0.5 * math.log(law.beta)
-        + (1.0 - 1.0 / law.beta) * math.log1p(-root)
-        - 1.0 / root
-    )
-
-
-def _edge_log_moment_upper(law: MpLaw) -> float:
-    """integral log(lambda_plus - lam) d mu over the full law, closed form."""
-    root = math.sqrt(law.beta)
-    return (
-        0.5 * math.log(law.beta)
-        + (1.0 - 1.0 / law.beta) * math.log1p(root)
-        + 1.0 / root
-    )
+    log_edge = (1.0 - 1.0 / law.beta) * math.log1p(s * root)
+    return 0.5 * math.log(law.beta) + log_edge + s / root
 
 
 def _rate_zero_closed(ctx: RateContext, alpha: float) -> float:
@@ -240,12 +228,11 @@ def _rate_zero_closed(ctx: RateContext, alpha: float) -> float:
     """
     law, x = ctx.law, ctx.x
     lo, hi = ctx.interval()
-    if alpha == hi:
-        # Upper endpoint tilt: factor 1 + alpha(x - lam) = (lam_plus - lam)/(lam_plus - x).
-        return _edge_log_moment_upper(law) - math.log(law.lambda_plus - x)
-    if alpha == lo and law.beta < 1.0:
-        # Lower endpoint tilt: factor (lam - lam_minus)/(x - lam_minus).
-        return _edge_log_moment_lower(law) - math.log(x - law.lambda_minus)
+    if alpha == hi or (alpha == lo and law.beta < 1.0):
+        # Endpoint tilt on side s = sign(alpha): factor (edge - lam)/(edge - x).
+        s = math.copysign(1.0, alpha)
+        edge = law.lambda_plus if s > 0.0 else law.lambda_minus
+        return _edge_log_moment(law, s) - math.log(s * (edge - x))
     # Interior stationary tilt.
     return (x - 1.0 - math.log(x)) / law.beta
 

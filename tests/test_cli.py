@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from fblimits import random_codebook
+from fblimits import SimConfig, random_codebook, simulate_c_spectral
 from fblimits.cli import RunRecord, build_parser, load_codebook, main, save_codebook
 
 
@@ -65,6 +65,7 @@ def test_no_command_is_usage_error():
         ["simulate", "--n", "4", "--m", "4", "--r-fb", "1", "--trials", "5", "--threads", "-5"],
         ["simulate", "--n", "4", "--m", "4", "--r-fb", "1", "--trials", "1" + "0" * 400],
         ["simulate", "--n", "4", "--m", "4", "--r-fb", "1", "--trials", "5", "--threads", "2"],
+        ["sweep", "--beta", "1", "--rates", ","],
     ),
 )
 def test_usage_errors_exit_2(argv):
@@ -157,10 +158,13 @@ def test_record_params_are_the_subcommand_flags(command, tmp_path, monkeypatch):
 
 
 def test_unwritable_output_exits_3(tmp_path):
-    target = tmp_path / "missing" / "deep" / "out.json"
-    code, _, err = run(["asymptotic", "--beta", "1", "--rate", "1", "--out", str(target)])
-    assert code == 3
-    assert err
+    target = str(tmp_path / "missing" / "deep" / "out.json")
+    for argv in (["asymptotic", "--beta", "1", "--rate", "1", "--out", target],
+                 ["design", "--n", "2", "--size", "2", "--iterations", "5",
+                  "--codebook-out", target]):
+        code, _, err = run(argv)
+        assert code == 3
+        assert err
 
 
 def test_numeric_error_exits_4():
@@ -295,10 +299,12 @@ def test_sweep_linspace_spec():
 
 
 def test_sweep_mode_drops_other_side():
-    _, out, _ = run(["sweep", "--beta", "1", "--rates", "0.5", "--mode", "min",
-                     "--format", "json"])
-    row = RunRecord.from_json(out).payload["rows"][0]
-    assert "x_minus" in row and "x_plus" not in row and "c_max" not in row
+    lower, upper = {"x_minus", "c_min"}, {"x_plus", "c_max"}
+    for mode, kept, dropped in (("min", lower, upper), ("max", upper, lower)):
+        _, out, _ = run(["sweep", "--beta", "1", "--rates", "0.5", "--mode", mode,
+                         "--format", "json"])
+        row = RunRecord.from_json(out).payload["rows"][0]
+        assert kept <= row.keys() and not dropped & row.keys()
 
 
 def test_sweep_csv_round_trip():
@@ -326,6 +332,16 @@ def test_simulate_payload_and_determinism():
     assert p["gap"] == pytest.approx(abs(p["mean"] - p["limit"]), rel=1e-12)
     _, out2, _ = run(argv)
     assert RunRecord.from_json(out2).payload == p
+
+
+def test_simulate_spectral_reports_the_estimator_exactly():
+    code, out, _ = run(["simulate", "--n", "4", "--m", "8", "--r-fb", "3", "--trials", "40",
+                        "--method", "spectral", "--mode", "max", "--seed", "5",
+                        "--format", "json"])
+    assert code == 0
+    p = RunRecord.from_json(out).payload
+    est = simulate_c_spectral(SimConfig(n=4, m=8, r_fb=3, trials=40, seed=5, mode="max"))
+    assert (p["mean"], p["stderr"]) == (est.mean, est.stderr)
 
 
 def test_simulate_designed_codebook_reports_geometry():

@@ -8,8 +8,10 @@ from scipy.optimize import brentq
 
 from fblimits import (
     ConsistencyError,
+    RateContext,
     asymptotic_limits,
     mp_law,
+    rate_zero,
     solve_x_by_rate,
     solve_x_minus,
     solve_x_plus,
@@ -176,6 +178,143 @@ def test_limits_are_pinned():
         res = asymptotic_limits(beta, r)
         assert res.x_minus == pytest.approx(x_minus, rel=1e-13, abs=0.0)
         assert res.x_plus == pytest.approx(x_plus, rel=1e-13, abs=0.0)
+
+
+# Exact pins of the limits layer where its branches switch.  The lower and
+# upper edge rules share one signed closed form, so a sign slip on either
+# side moves these values; 1e-15 relative leaves room for no formula change.
+PIN_REL = 1e-15
+
+# (beta, r_min, r_max)
+PINNED_THRESHOLDS = (
+    (0.25, 1.114609918222073, 0.5455400788933021),
+    (0.5, 1.5028277131336454, 0.4971722868663549),
+    (0.999999, 19.488893378089195, 0.44269512291028107),
+    (1.0, None, 0.44269504088896344),
+    (2.0, None, 0.38436279501498355),
+    (4.0, None, 0.32510689526419273),
+)
+# (beta, r, x_minus, branch_minus, x_plus, branch_plus) at each threshold and
+# one ulp either side of it
+PINNED_LEVELS = (
+    (0.25, 1.1146099182220728, 0.5000000000000001, "fixed_point", 1.7444615737671827, "explicit"),
+    (0.25, 1.114609918222073, 0.5000000000000001, "fixed_point", 1.744461573767183, "explicit"),
+    (0.25, 1.1146099182220732, 0.49999999999999994, "explicit", 1.744461573767183, "explicit"),
+    (0.25, 0.545540078893302, 0.625782534201283, "fixed_point", 1.5, "fixed_point"),
+    (0.25, 0.5455400788933021, 0.6257825342012829, "fixed_point", 1.4999999999999998, "fixed_point"),
+    (0.25, 0.5455400788933022, 0.6257825342012829, "fixed_point", 1.5, "explicit"),
+    (0.5, 1.5028277131336452, 0.2928932188134525, "fixed_point", 2.3130214956171153, "explicit"),
+    (0.5, 1.5028277131336454, 0.2928932188134524, "fixed_point", 2.3130214956171153, "explicit"),
+    (0.5, 1.5028277131336456, 0.2928932188134524, "explicit", 2.3130214956171153, "explicit"),
+    (0.5, 0.49717228686635484, 0.521760853702841, "fixed_point", 1.7071067811865472, "fixed_point"),
+    (0.5, 0.4971722868663549, 0.521760853702841, "fixed_point", 1.7071067811865477, "fixed_point"),
+    (0.5, 0.49717228686635495, 0.521760853702841, "fixed_point", 1.7071067811865477, "explicit"),
+    (0.999999, 19.48889337808919, 5.000001249699817e-07, "fixed_point", 3.9999943055250937, "explicit"),
+    (0.999999, 19.488893378089195, 5.0000012496998e-07, "fixed_point", 3.9999943055250937, "explicit"),
+    (0.999999, 19.488893378089198, 5.000001249699786e-07, "explicit", 3.9999943055250937, "explicit"),
+    (0.999999, 0.442695122910281, 0.4063759111018599, "fixed_point", 1.9999994999998747, "fixed_point"),
+    (0.999999, 0.44269512291028107, 0.4063759111018599, "fixed_point", 1.9999994999998747, "fixed_point"),
+    (0.999999, 0.4426951229102811, 0.40637591110185983, "fixed_point", 1.999999499999876, "explicit"),
+    (1.0, 0.4426950408889634, 0.40637573995995996, "fixed_point", 2.0, "fixed_point"),
+    (1.0, 0.44269504088896344, 0.4063757399599599, "fixed_point", 2.0, "fixed_point"),
+    (1.0, 0.4426950408889635, 0.40637573995995985, "fixed_point", 2.0, "explicit"),
+    (2.0, 0.3843627950149835, 0.28798172717076637, "fixed_point", 2.414213562373095, "fixed_point"),
+    (2.0, 0.38436279501498355, 0.28798172717076637, "fixed_point", 2.414213562373096, "fixed_point"),
+    (2.0, 0.3843627950149836, 0.28798172717076626, "fixed_point", 2.414213562373095, "explicit"),
+    (4.0, 0.3251068952641927, 0.17856062787792107, "fixed_point", 3.0000000000000004, "fixed_point"),
+    (4.0, 0.32510689526419273, 0.17856062787792107, "fixed_point", 3.0000000000000004, "fixed_point"),
+    (4.0, 0.3251068952641928, 0.17856062787792104, "fixed_point", 3.0, "explicit"),
+)
+# (beta, r, side, solve_x_by_rate) at the same rates; the inversions that
+# raise ConsistencyError near beta = 1 are left out
+PINNED_RATE_INVERSIONS = (
+    (0.25, 1.1146099182220728, "minus", 0.49999999999999994),
+    (0.25, 1.1146099182220728, "plus", 1.7444615737671827),
+    (0.25, 1.114609918222073, "minus", 0.4999999999999999),
+    (0.25, 1.114609918222073, "plus", 1.7444615737671827),
+    (0.25, 1.1146099182220732, "minus", 0.49999999999999983),
+    (0.25, 1.1146099182220732, "plus", 1.744461573767183),
+    (0.25, 0.545540078893302, "minus", 0.6257825342012829),
+    (0.25, 0.545540078893302, "plus", 1.5),
+    (0.25, 0.5455400788933021, "minus", 0.625782534201283),
+    (0.25, 0.5455400788933021, "plus", 1.5),
+    (0.25, 0.5455400788933022, "minus", 0.6257825342012828),
+    (0.25, 0.5455400788933022, "plus", 1.5),
+    (0.5, 1.5028277131336452, "plus", 2.3130214956171153),
+    (0.5, 1.5028277131336454, "minus", 0.2928932188134524),
+    (0.5, 1.5028277131336454, "plus", 2.3130214956171153),
+    (0.5, 1.5028277131336456, "minus", 0.2928932188134524),
+    (0.5, 1.5028277131336456, "plus", 2.3130214956171153),
+    (0.5, 0.49717228686635484, "minus", 0.5217608537028401),
+    (0.5, 0.49717228686635484, "plus", 1.7071067811865475),
+    (0.5, 0.4971722868663549, "minus", 0.52176085370284),
+    (0.5, 0.4971722868663549, "plus", 1.7071067811865475),
+    (0.5, 0.49717228686635495, "minus", 0.52176085370284),
+    (0.5, 0.49717228686635495, "plus", 1.7071067811865475),
+    (1.0, 0.4426950408889634, "minus", 0.40637573995995757),
+    (1.0, 0.4426950408889634, "plus", 2.0),
+    (1.0, 0.44269504088896344, "minus", 0.4063757399599575),
+    (1.0, 0.44269504088896344, "plus", 2.0),
+    (1.0, 0.4426950408889635, "minus", 0.4063757399599575),
+    (1.0, 0.4426950408889635, "plus", 2.0),
+    (2.0, 0.3843627950149835, "minus", 0.2879817271707664),
+    (2.0, 0.3843627950149835, "plus", 2.414213562373095),
+    (2.0, 0.38436279501498355, "minus", 0.28798172717076637),
+    (2.0, 0.38436279501498355, "plus", 2.414213562373095),
+    (2.0, 0.3843627950149836, "minus", 0.28798172717076626),
+    (2.0, 0.3843627950149836, "plus", 2.414213562373095),
+    (4.0, 0.3251068952641927, "minus", 0.17856062787792024),
+    (4.0, 0.3251068952641927, "plus", 3.0000000000000853),
+    (4.0, 0.32510689526419273, "minus", 0.17856062787792024),
+    (4.0, 0.32510689526419273, "plus", 3.000000000000087),
+    (4.0, 0.3251068952641928, "minus", 0.1785606278779202),
+    (4.0, 0.3251068952641928, "plus", 3.000000000000087),
+)
+# (beta, x, alpha_star, value) of rate_zero at the pinned levels whose
+# optimal tilt sits on an interval endpoint
+PINNED_EDGE_RATES = (
+    (0.25, 0.5000000000000001, -3.9999999999999982, 0.7725887222397805),
+    (0.25, 1.7444615737671827, 1.9780889999832905, 0.7725887222397808),
+    (0.25, 1.744461573767183, 1.9780889999832914, 0.7725887222397813),
+    (0.25, 0.49999999999999994, -4.000000000000001, 0.7725887222397811),
+    (0.25, 1.5, 1.3333333333333333, 0.37813956756734257),
+    (0.25, 1.4999999999999998, 1.333333333333333, 0.3781395675673423),
+    (0.5, 2.3130214956171153, 1.6633619358884426, 1.0416807922259366),
+    (0.5, 0.2928932188134524, -4.82842712474619, 1.0416807922259366),
+    (0.5, 1.7071067811865477, 0.8284271247461903, 0.3446135688939543),
+    (0.999999, 5.000001249699817e-07, -2000000.5001206982, 13.50867149725591),
+    (0.999999, 5.0000012496998e-07, -2000000.500120705, 13.508671497255913),
+    (0.999999, 5.000001249699786e-07, -2000000.5001207106, 13.508671497255916),
+    (0.999999, 1.999999499999876, 0.5000003750003126, 0.3068528762928998),
+    (1.0, 2.0, 0.5, 0.3068528194400547),
+    (2.0, 2.414213562373095, 0.2928932188134525, 0.2664199876767761),
+    (2.0, 2.414213562373096, 0.29289321881345254, 0.2664199876767763),
+    (4.0, 3.0000000000000004, 0.16666666666666666, 0.22534692783297272),
+    (4.0, 3.0, 0.16666666666666666, 0.22534692783297272),
+)
+
+
+def test_threshold_branches_are_pinned():
+    for beta, r_min, r_max in PINNED_THRESHOLDS:
+        got_min, got_max = thresholds(beta)
+        assert got_max == pytest.approx(r_max, rel=PIN_REL, abs=0.0)
+        if r_min is None:
+            assert got_min is None
+        else:
+            assert got_min == pytest.approx(r_min, rel=PIN_REL, abs=0.0)
+    for beta, r, x_minus, branch_minus, x_plus, branch_plus in PINNED_LEVELS:
+        got_minus, got_branch_minus = solve_x_minus(beta, r)
+        got_plus, got_branch_plus = solve_x_plus(beta, r)
+        assert (got_branch_minus, got_branch_plus) == (branch_minus, branch_plus)
+        assert got_minus == pytest.approx(x_minus, rel=PIN_REL, abs=0.0)
+        assert got_plus == pytest.approx(x_plus, rel=PIN_REL, abs=0.0)
+    for beta, r, side, x in PINNED_RATE_INVERSIONS:
+        assert solve_x_by_rate(beta, r, side) == pytest.approx(x, rel=PIN_REL, abs=0.0)
+    for beta, x, alpha_star, value in PINNED_EDGE_RATES:
+        point = rate_zero(RateContext(mp_law(beta), x))
+        assert point.boundary_hit
+        assert point.alpha_star == pytest.approx(alpha_star, rel=PIN_REL, abs=0.0)
+        assert point.value == pytest.approx(value, rel=PIN_REL, abs=0.0)
 
 
 def test_rate_inversion_agrees_with_branch_formulas():

@@ -664,6 +664,37 @@ def test_quantile_validation():
         quantile_x_n(TWO_POINT, 1.0, seed=0)
 
 
+@pytest.mark.parametrize("width", [2.0**-52, 1e-15], ids=["one-ulp", "1e-15"])
+def test_quantile_refuses_what_the_width_rule_calls_degenerate(width):
+    # quantile_x_n shares the CDF routes' width rule: a spectrum no wider
+    # than 1e-14 is one point.  One ulp of width would otherwise reach the
+    # tilt root and divide by zero there.
+    with pytest.raises(ValueError, match="degenerate"):
+        quantile_x_n([1.0, 1.0 + width], 0.5, seed=0)
+
+
+def test_quantile_near_one_stops_at_the_upper_bracket_end():
+    # On TWO_POINT, mu(x) = x/2: the tail beyond the upper bracket end is
+    # 1e-9, already more than 1 - p.
+    lmin, lmax = 0.0, 2.0
+    top = min(lmax - 1e-9 * (lmax - lmin), float(np.nextafter(lmax, lmin)))
+    assert quantile_x_n(TWO_POINT, 1.0 - 1e-12, seed=0) == top
+
+
+def test_feedback_deeper_than_a_double_stays_finite():
+    # 2^1100 overflows a double.  The quantile stops at the lower bracket
+    # end, and the survival power's overflow guard zeroes the integrand
+    # everywhere but next to the lower edge.
+    lam = sample_spectrum(8, 8, seed=0).eigenvalues
+    lmin, lmax = float(lam.min()), float(lam.max())
+    end = max(lmin + 1e-9 * (lmax - lmin), float(np.nextafter(lmin, lmax)))
+    assert quantile_x_n(lam, 1e-300, seed=0) == end
+    for got in (c_rand_via_cdf(lam, 1100, "min", 20000, seed=0),
+                uniform_codebook_bound(lam, 1100, "min", seed=0)):
+        assert math.isfinite(got)
+        assert lmin <= got <= end
+
+
 def test_uniform_bound_exact_two_point_values():
     # Integration by parts: bound = x_q - 2^r int_0^{x_q} mu dx; with
     # mu = x/2 and x_q = 2^(1-r) this is 2^(1-r) - 2^(1-r)/2, i.e. 0.5 at
