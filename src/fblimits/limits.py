@@ -53,8 +53,8 @@ class AsymptoticResult:
 def _check_beta_r(beta: float, r: float) -> None:
     if not (math.isfinite(beta) and beta > 0.0):
         raise ValueError(f"beta must be finite and positive, got {beta!r}")
-    if not (math.isfinite(r) and r > 0.0):
-        raise ValueError(f"r must be finite and positive, got {r!r}")
+    if not (math.isfinite(r) and r >= 0.0):
+        raise ValueError(f"r must be finite and >= 0, got {r!r}")
 
 
 def thresholds(beta: float) -> tuple[float | None, float]:
@@ -140,6 +140,8 @@ def solve_x_by_rate(beta: float, r: float, side: str) -> float:
     _check_beta_r(beta, r)
     if side not in ("minus", "plus"):
         raise ValueError(f"side must be 'minus' or 'plus', got {side!r}")
+    if r == 0.0:
+        return 1.0  # the rate vanishes only at the mean, where no bracket changes sign
     law = mp_law(beta)
     target = r * _LN2
     root = math.sqrt(beta)
@@ -167,17 +169,23 @@ def solve_x_by_rate(beta: float, r: float, side: str) -> float:
 def asymptotic_limits(beta: float, r: float) -> AsymptoticResult:
     """Solve both levels and scale them into performance limits.
 
-    Each level is substituted back into the rate at zero; residuals beyond
-    1e-8 raise ConsistencyError.
+    Each level is substituted back into the rate at zero; a residual beyond
+    1e-8 + |alpha*| ulp(x) raises ConsistencyError.  The rate's slope in x is
+    the optimal tilt alpha*, so rounding x to a double alone moves the rate
+    by up to |alpha*| ulp(x), about 1e-7 at r = 28.
     """
     x_minus, branch_minus = solve_x_minus(beta, r)
     x_plus, branch_plus = solve_x_plus(beta, r)
     r_min, r_max = thresholds(beta)
     law = mp_law(beta)
     target = r * _LN2
-    res_minus = rate_zero(RateContext(law, x_minus)).value - target
-    res_plus = rate_zero(RateContext(law, x_plus)).value - target
-    if abs(res_minus) > 1e-8 or abs(res_plus) > 1e-8:
+
+    def residual(x: float) -> tuple[float, float]:
+        point = rate_zero(RateContext(law, x))
+        return point.value - target, 1e-8 + abs(point.alpha_star) * math.ulp(x)
+
+    (res_minus, tol_minus), (res_plus, tol_plus) = residual(x_minus), residual(x_plus)
+    if abs(res_minus) > tol_minus or abs(res_plus) > tol_plus:
         raise ConsistencyError(
             f"defining-equation residuals too large at beta={beta}, r={r}: "
             f"minus {res_minus:.3e}, plus {res_plus:.3e}"

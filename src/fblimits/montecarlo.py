@@ -54,6 +54,7 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 DIRECT_BUDGET = 5_000_000_000  # max 2^R_fb * n * trials for enumeration paths
+_MAX_ENTRIES = 1 << 24  # largest array one call builds: a trial's codewords, the design Gram
 
 _GRAM_BLOCK = 512  # Gram rows formed at once by _max_cross_gain
 _LEVEL_BLOCK = 16  # CDF levels whose tilted sums _log_cdf forms at once
@@ -213,6 +214,11 @@ def design_codebook(n: int, size: int, seed: int, iterations: int = 800) -> Code
         raise ValueError(f"need n >= 1 and size >= 1, got n={n}, size={size}")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if 8 * size * size > _MAX_ENTRIES:
+        raise BudgetError(
+            f"the Gram of 8 restarts x {size}^2 codeword pairs exceeds the cap of "
+            f"{_MAX_ENTRIES} array entries"
+        )
     if size == 1:
         vectors = random_codebook(n, 1, seed).vectors
         return Codebook(n=n, vectors=vectors, kind="designed", seed=int(seed))
@@ -277,6 +283,11 @@ def _check_budget(cfg: SimConfig, codebook: Codebook | None = None) -> int:
             f"enumeration of {words} codewords x n={cfg.n} x {cfg.trials} trials "
             f"exceeds the budget of {DIRECT_BUDGET:.2e} element ops; "
             "use the conditional-CDF route instead"
+        )
+    if k * cfg.n > _MAX_ENTRIES:
+        raise BudgetError(
+            f"{k} codewords x n={cfg.n} per trial exceed the cap of {_MAX_ENTRIES} "
+            "array entries; use the conditional-CDF route instead"
         )
     return k
 

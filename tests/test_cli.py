@@ -182,6 +182,26 @@ def test_budget_refusal_exits_5():
     assert "budget" in err.lower() or "cdf" in err.lower()
 
 
+@pytest.mark.parametrize("method", ("spectral", "direct"))
+def test_codewords_over_the_array_cap_are_refused(method):
+    # 2^30 codewords x n=1 x 3 trials passes the element-op budget, but one
+    # trial's codeword array alone would hold 2^30 entries.
+    code, _, err = run(["simulate", "--n", "1", "--m", "1", "--r-fb", "30", "--trials", "3",
+                        "--method", method])
+    assert code == 5
+    assert "cap" in err
+
+
+def test_design_gram_over_the_array_cap_is_refused(tmp_path):
+    # 8 restarts x 100000^2 codeword pairs would be a 1.16 TiB Gram.
+    out = tmp_path / "codebook.txt"
+    code, _, err = run(["design", "--n", "1", "--size", "100000", "--iterations", "1",
+                        "--codebook-out", str(out)])
+    assert code == 5
+    assert "cap" in err
+    assert not out.exists()
+
+
 def test_cdf_route_takes_feedback_deeper_than_enumeration():
     code, out, _ = run(["simulate", "--method", "cdf", "--n", "100", "--m", "50",
                         "--r-fb", "100", "--trials", "2", "--samples", "2000",
@@ -223,6 +243,13 @@ def test_asymptotic_solves_a_deep_fixed_point():
                         "--rate", "18.105209876548013"])
     assert code == 0
     assert RunRecord.from_json(out).payload["branch_minus"] == "fixed_point"
+
+
+def test_asymptotic_solves_a_deep_explicit_level():
+    # At r = 28 one ulp of x_plus moves the rate by ~1e-7, past a fixed 1e-8.
+    code, out, _ = run(["asymptotic", "--beta", "1", "--rate", "28"])
+    assert code == 0
+    assert RunRecord.from_json(out).payload["branch_plus"] == "explicit"
 
 
 def test_asymptotic_throughput_fields_appear_with_sigma2():
@@ -332,6 +359,16 @@ def test_simulate_payload_and_determinism():
     assert p["gap"] == pytest.approx(abs(p["mean"] - p["limit"]), rel=1e-12)
     _, out2, _ = run(argv)
     assert RunRecord.from_json(out2).payload == p
+
+
+def test_simulate_at_zero_feedback_compares_against_the_mean():
+    # One codeword: every estimator returns its mean, and the limit is m/n.
+    code, out, _ = run(["simulate", "--n", "4", "--m", "2", "--r-fb", "0", "--trials", "3",
+                        "--method", "spectral", "--format", "json"])
+    assert code == 0
+    p = RunRecord.from_json(out).payload
+    assert p["r"] == 0.0
+    assert p["limit"] == 0.5
 
 
 def test_simulate_spectral_reports_the_estimator_exactly():

@@ -18,6 +18,7 @@ from fblimits import (
     thresholds,
     throughput,
 )
+from fblimits import limits
 
 LN2 = math.log(2.0)
 
@@ -335,6 +336,55 @@ def test_rate_inversion_handles_extreme_rates():
     assert 0.0 < x < 1e-10
     x = solve_x_by_rate(0.25, 40.0, "plus")
     assert 0.0 < 2.25 - x < 1e-6
+
+
+def test_levels_next_to_the_tilt_switch_keep_the_tilt_in_the_interval():
+    # Within an ulp of 1 +- sqrt(beta) the interior tilt (x - 1)/(beta x) can
+    # round past the interval end; these three calls once raised there.
+    r_min = thresholds(0.5)[0]
+    res = asymptotic_limits(0.01, thresholds(0.01)[1])
+    cases = (
+        (0.5, 0.2928932188134525),
+        (0.5, solve_x_by_rate(0.5, math.nextafter(r_min, 0.0), "minus")),
+        (0.01, res.x_minus),
+        (0.01, res.x_plus),
+    )
+    for beta, x in cases:
+        c = RateContext(mp_law(beta), x)
+        lo, hi = c.interval()
+        assert lo <= rate_zero(c).alpha_star <= hi
+
+
+@pytest.mark.parametrize("beta", (0.25, 1.0, 4.0))
+def test_deep_rates_pass_the_residual_check(beta):
+    # The rate's slope in x is alpha*, ~1e8 at r = 28, so one ulp of the level
+    # moves the rate by ~1e-7; the residual bound allows for it.
+    for r in (28.0, 40.0, 50.0):
+        assert asymptotic_limits(beta, r).branch_plus == "explicit"
+
+
+@pytest.mark.parametrize("r, moved", ((1.0, 1e-7), (28.0, -1e-9)))
+def test_residual_check_catches_a_moved_level(monkeypatch, r, moved):
+    solve = limits.solve_x_plus
+
+    def nudged(beta, r):
+        x, branch = solve(beta, r)
+        return x * (1.0 + moved), branch
+
+    monkeypatch.setattr(limits, "solve_x_plus", nudged)
+    with pytest.raises(ConsistencyError, match="residuals too large"):
+        asymptotic_limits(1.0, r)
+
+
+@pytest.mark.parametrize("beta", (0.25, 1.0, 4.0))
+def test_zero_rate_puts_both_levels_at_the_mean(beta):
+    res = asymptotic_limits(beta, 0.0)
+    assert (res.x_minus, res.x_plus) == (1.0, 1.0)
+    assert res.c_min_limit == res.c_max_limit == 1.0 / beta
+    assert (res.branch_minus, res.branch_plus) == ("fixed_point", "fixed_point")
+    assert solve_x_by_rate(beta, 0.0, "minus") == solve_x_by_rate(beta, 0.0, "plus") == 1.0
+    with pytest.raises(ValueError, match=">= 0"):
+        solve_x_minus(beta, -0.5)
 
 
 def test_throughput_golden_points():

@@ -20,6 +20,7 @@ from fblimits import (
     rate_zero,
     shannon_integral,
 )
+from fblimits import ratefn
 
 
 def ctx(beta: float, x: float) -> RateContext:
@@ -253,6 +254,48 @@ def test_rate_zero_boundary_branch_continuity():
             assert a == pytest.approx(b, abs=1e-5)
             got = rate_zero(ctx(beta, x_edge)).value
             assert min(a, b) <= got <= max(a, b)
+
+
+def count_integrals(monkeypatch) -> list:
+    """Node count of every mp_integrate call that ratefn makes from here on."""
+    calls = []
+
+    def counted(law, f, cfg):
+        calls.append(cfg.node_count)
+        return mp_integrate(law, f, cfg)
+
+    monkeypatch.setattr(ratefn, "mp_integrate", counted)
+    return calls
+
+
+def test_rate_zero_integrates_once_when_the_grid_agrees(monkeypatch):
+    calls = count_integrals(monkeypatch)
+    rate_zero(ctx(2.0, 0.5))
+    assert calls == [4096]
+
+
+def test_rate_zero_forgives_a_miss_within_the_half_grid_resolution(monkeypatch):
+    # At beta = 1 the integrand carries a log singularity at the edge lam = 0,
+    # so the full grid misses the closed form by ~3.4e-4 at x = 1e-12; only
+    # the half-grid estimate of that resolution lets the check pass.
+    c = ctx(1.0, 1e-12)
+    closed = c.x - 1.0 - math.log(c.x)
+    assert abs(-cgf(c, optimal_tilt(c)) - closed) > 1e-4
+    calls = count_integrals(monkeypatch)
+    assert rate_zero(c).value == closed
+    assert calls == [4096, 2048]
+
+
+def test_rate_zero_raises_when_the_closed_form_is_off(monkeypatch):
+    saddle = ratefn._saddle
+
+    def off(c):
+        alpha, value = saddle(c)
+        return alpha, value + 1e-3
+
+    monkeypatch.setattr(ratefn, "_saddle", off)
+    with pytest.raises(ConsistencyError, match="rate at zero disagrees"):
+        rate_zero(ctx(2.0, 0.5))
 
 
 # ---------------------------------------------------------------------------
