@@ -4,7 +4,9 @@ Every subcommand emits a single run record carrying the command name, the
 parameters it actually used, the seed (null for the deterministic
 asymptotic and sweep), the package version, and the wall time, so a result
 file is reproducible on its own.  Records serialize to JSON (default) or
-CSV; CSV keeps the provenance in a leading comment line.
+CSV; CSV keeps the provenance in a leading comment line, and each payload
+cell is a JSON scalar (strings quoted, None as null, floats by repr), so a
+record reads back exactly.
 
 Exit codes: 0 success; 2 the command line was refused before any
 computation, by a flag's argparse type (which checks that flag's range) or
@@ -79,11 +81,11 @@ class RunRecord:
             cols = list(rows[0].keys()) if rows else []
             buf.write(",".join(cols) + "\n")
             for row in rows:
-                buf.write(",".join(_cell(row[c]) for c in cols) + "\n")
+                buf.write(",".join(json.dumps(row[c]) for c in cols) + "\n")
         else:
             buf.write("key,value\n")
             for key, val in self.payload.items():
-                buf.write(f"{key},{_cell(val)}\n")
+                buf.write(f"{key},{json.dumps(val)}\n")
         return buf.getvalue()
 
     @staticmethod
@@ -93,44 +95,15 @@ class RunRecord:
             raise ValueError("not a run-record CSV: missing provenance line")
         head = json.loads(lines[0][len("# fblimits-record "):])
         header = lines[1].split(",")
-        payload: dict
         if header == ["key", "value"]:
             payload = {}
             for ln in lines[2:]:
                 key, _, val = ln.partition(",")
-                payload[key] = _uncell(val)
+                payload[key] = json.loads(val)
         else:
-            rows = []
-            for ln in lines[2:]:
-                cells = ln.split(",")
-                rows.append({c: _uncell(v) for c, v in zip(header, cells)})
-            payload = {"rows": rows}
+            # A JSON string keeps its commas inside quotes, so one row reads as one array.
+            payload = {"rows": [dict(zip(header, json.loads(f"[{ln}]"))) for ln in lines[2:]]}
         return RunRecord(payload=payload, **head)
-
-
-def _cell(val) -> str:
-    if val is None:
-        return ""
-    if isinstance(val, bool):
-        return "true" if val else "false"
-    if isinstance(val, float):
-        return repr(val)
-    return str(val)
-
-
-def _uncell(text: str):
-    if text == "":
-        return None
-    if text in ("true", "false"):
-        return text == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,7 @@ class AsymptoticResult:
     branch_plus: str
 
 
-def _check_beta_r(beta: float, r: float) -> None:
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise ValueError(f"beta must be finite and positive, got {beta!r}")
+def _check_r(r: float) -> None:
     if not (math.isfinite(r) and r >= 0.0):
         raise ValueError(f"r must be finite and >= 0, got {r!r}")
 
@@ -63,8 +61,7 @@ def thresholds(beta: float) -> tuple[float | None, float]:
     r_min exists only for beta < 1 (the lower tilt can saturate only when
     the continuous edge is positive); r_max exists for every beta.
     """
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise ValueError(f"beta must be finite and positive, got {beta!r}")
+    beta = mp_law(beta).beta  # mp_law validates beta
     root = math.sqrt(beta)
     # One expression on side s; log1p(-sqrt(beta)) is a domain error for beta >= 1.
     r_min, r_max = (
@@ -102,8 +99,8 @@ def _fixed_point(beta: float, r: float, side: str) -> float:
 
 def _solve_x(beta: float, r: float, side: str) -> tuple[float, str]:
     """Level and branch on one side; the side sign s mirrors the explicit edge branch."""
-    _check_beta_r(beta, r)
     r_min, r_max = thresholds(beta)
+    _check_r(r)
     threshold = r_min if side == "minus" else r_max
     if threshold is not None and r > threshold:
         law = mp_law(beta)
@@ -137,12 +134,12 @@ def solve_x_by_rate(beta: float, r: float, side: str) -> float:
     The root is found in a log-distance variable from the relevant support
     edge, which keeps the search accurate when x is within rounding of it.
     """
-    _check_beta_r(beta, r)
+    law = mp_law(beta)
+    _check_r(r)
     if side not in ("minus", "plus"):
         raise ValueError(f"side must be 'minus' or 'plus', got {side!r}")
     if r == 0.0:
         return 1.0  # the rate vanishes only at the mean, where no bracket changes sign
-    law = mp_law(beta)
     target = r * _LN2
     root = math.sqrt(beta)
     s, edge = _side(law, side)
@@ -158,10 +155,7 @@ def solve_x_by_rate(beta: float, r: float, side: str) -> float:
     else:
         w_lo = min(math.log(root * (1.0 + s * root)), _edge_log_moment(law, s) - target) - 1.0
     w_hi = math.log(abs(1.0 - edge)) - 1e-9  # just inside x = 1, where the rate is ~0
-    if value_at(w_lo) <= 0.0 or value_at(w_hi) >= 0.0:
-        raise ConsistencyError(
-            f"rate equation bracket failed for beta={beta}, r={r}, side={side}"
-        )
+    # brentq evaluates both ends first and refuses a bracket without a sign change.
     w = brentq(value_at, w_lo, w_hi, xtol=1e-13, rtol=8.9e-16)
     return edge - s * math.exp(w)
 

@@ -62,6 +62,9 @@ class RateContext:
                 f"x={self.x!r} must lie strictly inside "
                 f"({self.law.lambda_t_minus}, {self.law.lambda_plus})"
             )
+        if not all(map(math.isfinite, self.interval())):
+            # Only a subnormal level next to the atom at zero overflows an end.
+            raise ValueError(f"x={self.x!r} is too near the edge for a finite tilt interval")
 
     def interval(self) -> tuple[float, float]:
         """Closed finiteness interval of the cumulant generating function."""

@@ -169,10 +169,12 @@ def test_unwritable_output_exits_3(tmp_path):
 
 def test_numeric_error_exits_4():
     # A valid command line whose computation fails: a one-eigenvalue spectrum
-    # never brackets the level, so the tilted estimator raises ReliabilityError.
-    code, _, err = run(["ldp", "--beta", "1", "--x", "0.5", "--sizes", "1"])
-    assert code == 4
-    assert "error" in err.lower()
+    # never brackets the level, so the tilted estimator raises ReliabilityError;
+    # a subnormal level has no finite tilt interval, so RateContext refuses it.
+    for x, sizes in (("0.5", "1"), ("5e-324", "4")):
+        code, _, err = run(["ldp", "--beta", "1", "--x", x, "--sizes", sizes])
+        assert code == 4
+        assert "error" in err.lower()
 
 
 def test_budget_refusal_exits_5():
@@ -293,6 +295,29 @@ def test_out_file_replaces_stdout(tmp_path):
     assert disk.payload == RunRecord.from_json(direct).payload
 
 
+def test_csv_cells_round_trip_unchanged():
+    cells = {"a": "1e3", "b": "true", "c": "", "d": "nan", "e": None, "f": "1,2"}
+    for payload in (cells, {"rows": [cells, dict(cells, a=0.1)]}):
+        rec = RunRecord(command="x", params={}, seed=None, version="0", duration_s=0.5,
+                        payload=payload)
+        assert RunRecord.from_csv(rec.to_csv()) == rec
+
+
+@pytest.mark.parametrize("command", sorted(BASE_ARGV))
+def test_csv_record_reads_back_as_the_json_record(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *BASE_ARGV[command]]
+    if command == "design":
+        argv[argv.index("cb.txt")] = "1e3"  # a path that reads as a number
+    records = []
+    for fmt, read in (("json", RunRecord.from_json), ("csv", RunRecord.from_csv)):
+        code, out, _ = run([*argv, "--format", fmt])
+        assert code == 0
+        records.append(read(out))
+    as_json, as_csv = records
+    assert (as_csv.params, as_csv.payload) == (as_json.params, as_json.payload)
+
+
 # ---------------------------------------------------------------------------
 # sweep command
 
@@ -339,7 +364,7 @@ def test_sweep_csv_round_trip():
     rec = RunRecord.from_csv(out)
     assert len(rec.payload["rows"]) == 2
     assert RunRecord.from_csv(rec.to_csv()) == rec
-    # r_min is None at beta >= 1 and must survive the empty-cell encoding
+    # r_min is None at beta >= 1 and must read back as None, not as a string
     assert rec.payload["rows"][0]["r_min"] is None
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -45,6 +46,35 @@ def test_no_python_thread_pools(path):
     banned = {"concurrent.futures", "threading"}
     found = banned & _imported_modules(ast.parse(path.read_text()))
     assert not found, f"{path.name} imports {sorted(found)}; parallelism is left to BLAS"
+
+
+# pyproject lists numpy as the one dependency; scipy is a test-only oracle.
+INSTALLED = set(sys.stdlib_module_names) | {"numpy", "fblimits"}
+
+
+def _foreign_imports(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue  # a relative import is internal
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] not in INSTALLED]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_the_standard_library_and_numpy(path):
+    assert _foreign_imports(ast.parse(path.read_text())) == []
+
+
+def test_import_check_sees_foreign_modules():
+    tree = ast.parse("import os, scipy.optimize\nfrom numpy import linalg\nfrom . import spectra\n"
+                     "from scipy import stats\nimport fblimits.cli\nfrom .._x import y\n")
+    assert _foreign_imports(tree) == ["scipy.optimize (line 1)", "scipy (line 4)"]
 
 
 ENV_READS = {"environ", "environb", "getenv", "getenvb"}

@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 
 from fblimits import (
     ConsistencyError,
+    LegendrePoint,
     RateContext,
     asymptotic_limits,
     mp_law,
@@ -338,6 +339,30 @@ def test_rate_inversion_handles_extreme_rates():
     assert 0.0 < 2.25 - x < 1e-6
 
 
+@pytest.mark.parametrize("beta, r, side", ((0.5, 1.0, "minus"), (2.0, 1.0, "minus"), (0.25, 3.0, "plus")))
+def test_rate_inversion_evaluates_only_what_brentq_asks_for(monkeypatch, beta, r, side):
+    calls = {"rate_zero": 0, "brentq": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    solver = limits.brentq
+    monkeypatch.setattr(limits, "rate_zero", counted("rate_zero", limits.rate_zero))
+    monkeypatch.setattr(limits, "brentq", lambda f, *a, **k: solver(counted("brentq", f), *a, **k))
+    solve_x_by_rate(beta, r, side)
+    assert calls["rate_zero"] == calls["brentq"] > 2
+
+
+def test_rate_inversion_refuses_a_bracket_without_a_sign_change(monkeypatch):
+    # brentq's own refusal; the CLI maps its ValueError to exit 4.
+    monkeypatch.setattr(limits, "rate_zero", lambda ctx: LegendrePoint(0.0, 100.0, 0.0, False))
+    with pytest.raises(ValueError, match="different signs"):
+        solve_x_by_rate(1.0, 1.0, "plus")
+
+
 def test_levels_next_to_the_tilt_switch_keep_the_tilt_in_the_interval():
     # Within an ulp of 1 +- sqrt(beta) the interior tilt (x - 1)/(beta x) can
     # round past the interval end; these three calls once raised there.
@@ -405,6 +430,10 @@ def test_input_validation():
         solve_x_minus(1.0, -0.5)
     with pytest.raises(ValueError):
         solve_x_by_rate(1.0, 1.0, "sideways")
+    for call in (lambda: thresholds(math.nan), lambda: solve_x_plus(-1.0, 1.0),
+                 lambda: solve_x_by_rate(0.0, 0.0, "minus")):
+        with pytest.raises(ValueError, match="beta must be finite and positive"):
+            call()
 
 
 # The geometric 200x200 grid beta in [1e-3, 50], r in [1e-3, 20].  Its

@@ -141,6 +141,7 @@ def test_cgf_prime_vanishes_at_interior_tilt():
 def test_f_kernel_trivials():
     law = mp_law(1.0)
     assert f_kernel(0.0, law) == 0.0
+    assert eta_integral(0.0, law) == shannon_integral(0.0, law) == 0.0  # not 0/0
     # beta = 1: lambda_minus = 0, lambda_plus = 4, so F(1) = (1 - sqrt 5)^2.
     assert f_kernel(1.0, law) == pytest.approx(6.0 - 2.0 * math.sqrt(5.0), abs=1e-12)
 
@@ -360,6 +361,32 @@ def test_rate_function_boundary_hit_flag():
     assert not rate_function(c, 0.0).boundary_hit
 
 
+# (beta, x, t, value, alpha_star, boundary_hit), compared exactly: interior t
+# on both sides of the mean gap 1 - x, the lower endpoint at beta = 0.25 (the
+# case of test_rate_function_boundary_hit_flag), and t = -1e12 at beta = 4,
+# where a later probe of the walk toward the endpoint brackets and the tilt
+# stays interior.
+RATE_FUNCTION_PINS = (
+    (0.25, 0.6, 0.1, 0.2094049937944811, -1.8864578026113983, False),
+    (0.25, 0.6, 0.7, 0.07247650888218826, 0.40010592231965075, False),
+    (0.25, 0.6, -0.6399972027511984, 2.2646799219980873, -2.857142857142857, True),
+    (1.0, 0.5, 0.2, 0.052889552485593044, -0.42799356779007947, False),
+    (1.0, 0.5, 0.9, 0.043802277475588555, 0.18367588186124353, False),
+    (1.0, 2.0, -1.5, 0.04966624318733667, -0.17794846823093272, False),
+    (1.0, 2.0, -0.5, 0.07916923638316126, 0.3427018938618469, False),
+    (4.0, 0.5, -0.3, 0.17670434224124917, -0.6362667002162402, False),
+    (4.0, 0.5, 1.0, 0.020768035255707355, 0.07066805782750503, False),
+    (4.0, 0.5, -1e12, 1999999999978.2664, -1.9999999999991187, False),
+    (4.0, 3.0, -1.0, 0.06802909769973692, 0.1321647193147762, False),
+)
+
+
+@pytest.mark.parametrize("beta, x, t, value, alpha, hit", RATE_FUNCTION_PINS)
+def test_rate_function_is_pinned(beta, x, t, value, alpha, hit):
+    pt = rate_function(ctx(beta, x), t)
+    assert (pt.value, pt.alpha_star, pt.boundary_hit, pt.t) == (value, alpha, hit, t)
+
+
 def test_rate_function_nonnegative():
     c = ctx(0.5, 1.3)
     for t in np.linspace(-1.0, 1.0, 11):
@@ -372,3 +399,10 @@ def test_context_rejects_level_outside_support():
         RateContext(law=law, x=law.lambda_plus + 0.1)
     with pytest.raises(ValueError):
         RateContext(law=law, x=law.lambda_minus - 0.01)
+
+
+@pytest.mark.parametrize("x", (5e-324, 1e-323, 1.5e-323))
+def test_context_refuses_a_level_whose_tilt_interval_overflows(x):
+    # Inside (0, 4) at beta = 1, but -1/x is -inf: no tilt there is a double.
+    with pytest.raises(ValueError, match="finite tilt interval"):
+        ctx(1.0, x)

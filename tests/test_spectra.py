@@ -86,6 +86,12 @@ def test_quadrature_error_names_offending_node():
     assert "lambda=" in str(exc.value)
 
 
+@pytest.mark.parametrize("g", (lambda lam: 1.0, lambda lam: lam[:-1]), ids=("scalar", "short"))
+def test_quadrature_refuses_an_integrand_of_the_wrong_shape(g):
+    with pytest.raises(ValueError, match="integrand must return one value per node"):
+        mp_integrate(mp_law(1.0), g)
+
+
 def test_sample_spectrum_shapes_and_determinism():
     a = sample_spectrum(8, 16, seed=3)
     b = sample_spectrum(8, 16, seed=3)
