@@ -94,6 +94,8 @@ class RunRecord:
         if not lines or not lines[0].startswith("# fblimits-record "):
             raise ValueError("not a run-record CSV: missing provenance line")
         head = json.loads(lines[0][len("# fblimits-record "):])
+        if len(lines) == 1:  # an empty rows list writes a blank header line
+            return RunRecord(payload={"rows": []}, **head)
         header = lines[1].split(",")
         if header == ["key", "value"]:
             payload = {}

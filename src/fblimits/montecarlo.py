@@ -425,6 +425,17 @@ def _tilt_root(coeffs: np.ndarray) -> float:
     return brentq(g, lo, hi, xtol=1e-13, rtol=8.9e-16)
 
 
+def _lower_is_rare(coeffs: np.ndarray) -> np.ndarray:
+    """Per row c of coeffs: is sum c_i Y_i <= 0 the rare side, its mean sum c_i being >= 0?"""
+    return coeffs.sum(axis=-1) >= 0.0
+
+
+def _log_complement(log_q: float) -> float:
+    """log(1 - q) from log q, q held at or below 1 - 1e-16."""
+    q = math.exp(min(log_q, -1e-17))
+    return math.log1p(-min(q, 1.0 - 1e-16))
+
+
 def _log_cdf(arr: np.ndarray, expo: np.ndarray, xs) -> list[tuple[float, float, float, float]]:
     """log P(sum (arr_i - x) Y_i <= 0) at each level x of xs, by exact-likelihood-ratio tilting.
 
@@ -443,8 +454,7 @@ def _log_cdf(arr: np.ndarray, expo: np.ndarray, xs) -> list[tuple[float, float, 
         gammas = np.array([_tilt_root(c) for c in coeffs])
         rho = 1.0 - gammas[:, None] * coeffs
         sums = np.matmul(coeffs / rho, expo.T, out=buf[:len(coeffs)])
-        for c, gamma, r, s in zip(coeffs, gammas.tolist(), rho, sums):
-            lower = float(c.sum()) >= 0.0
+        for gamma, r, s, lower in zip(gammas.tolist(), rho, sums, _lower_is_rare(coeffs)):
             hits = np.compress((s <= 0.0) if lower else (s > 0.0), s)
             if hits.size == 0:
                 log_p, ess, se_log = -math.inf, 0.0, math.inf
@@ -461,8 +471,7 @@ def _log_cdf(arr: np.ndarray, expo: np.ndarray, xs) -> list[tuple[float, float, 
                 ratio = n * s2 / (s1 * s1) - 1.0
                 se_log = math.sqrt(max(ratio, 0.0) / n)
             if not lower:
-                q = math.exp(min(log_p, -1e-17))
-                log_p = math.log1p(-min(q, 1.0 - 1e-16))
+                log_p = _log_complement(log_p)
             out.append((log_p, ess, se_log, gamma))
     return out
 
@@ -538,6 +547,40 @@ def _survival_power(log_p: float, r_fb: int) -> float:
     if log_t > 709.0:
         return 0.0
     return math.exp(-math.exp(log_t))
+
+
+def _chernoff_fixed(arr: np.ndarray, xs: np.ndarray, r_fb: int) -> np.ndarray:
+    """_survival_power of _log_cdf at each level of xs where a Chernoff bound fixes it, else NaN.
+
+    On the rare side of the tilt root t*, a sample's log weight in _log_cdf
+    is C(t*) - t* s_j, with C(t) = -sum log(1 - t c_i) and t* s_j >= 0.  So
+    the largest log weight is at most C(t*), the weight sum at most the panel
+    size N, and the rare-side log estimate at most C(t*) plus a few ulps of
+    log N.  C is convex with derivative _tilt_root's g, so C(t*) <= C(t) for
+    every t between the poles.  The cap is C(t) + 1e-9 (1 + |C(t)|), a
+    margin that dwarfs rounding, at one Newton step from 0, t = -sum c /
+    sum c^2, clamped half-way to each pole: one (levels, n) array per call.
+
+    Lower rare side: log_p <= cap.  With r_fb >= 1, _survival_power(cap) is
+    1.0 only if exp(log_t) is below half an ulp of 1, so cap < -38 lies on
+    the log_p <= -37 branch, where the value only rises as log_p falls: the
+    integrand is exactly 1.0.  Upper rare side: log_p >= _log_complement(cap),
+    which is non-increasing.  If even 2^(r_fb - 1) codewords' power is 0.0 there, log_t at r_fb clears
+    exp's underflow by ln 2, which no rounding across _survival_power's
+    branches undoes, so the integrand is exactly 0.0.
+    """
+    coeffs = arr - xs[:, None]
+    step = -coeffs.sum(axis=1) / (coeffs * coeffs).sum(axis=1)
+    tilt = np.clip(step, 0.5 / coeffs.min(axis=1), 0.5 / coeffs.max(axis=1))
+    caps = -np.log1p(-tilt[:, None] * coeffs).sum(axis=1)
+    caps += 1e-9 * (1.0 + np.abs(caps))
+    out = np.full(xs.size, np.nan)
+    for i, (lower, cap) in enumerate(zip(_lower_is_rare(coeffs), caps.tolist())):
+        if lower and _survival_power(cap, r_fb) == 1.0:
+            out[i] = 1.0
+        elif not lower and _survival_power(_log_complement(cap), r_fb - 1) == 0.0:
+            out[i] = 0.0
+    return out
 
 
 def _grid_integral(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
@@ -628,7 +671,19 @@ def _c_min_via_cdf(arr: np.ndarray, r_fb: int, samples: int, seed: int) -> float
     expo = _panel(arr, samples, seed, 12)
 
     def integrand(xs: np.ndarray) -> np.ndarray:
-        return np.array([_survival_power(lp, r_fb) for lp, *_ in _log_cdf(arr, expo, xs)])
+        vals = _chernoff_fixed(arr, xs, r_fb)
+        todo = np.flatnonzero(np.isnan(vals))
+        # _log_cdf forms a lone level's sums by GEMV and a block's by GEMM,
+        # which may round apart.  So a level goes alone only where the full
+        # round left it alone, last after whole _LEVEL_BLOCKs; any other lone
+        # level is sent twice.
+        lone = xs.size % _LEVEL_BLOCK == 1 and todo[-1:].tolist() == [xs.size - 1]
+        rest = todo[:-1] if lone else todo
+        if rest.size % _LEVEL_BLOCK == 1:
+            rest = np.append(rest, rest[-1])
+        for idx in (rest, todo[-1:]) if lone else (rest,):
+            vals[idx] = [_survival_power(lp, r_fb) for lp, *_ in _log_cdf(arr, expo, xs[idx])]
+        return vals
 
     return lmin + _grid_integral(integrand, lmin, float(arr.max()), 1.0, 0.0)
 

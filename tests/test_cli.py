@@ -303,6 +303,12 @@ def test_csv_cells_round_trip_unchanged():
         assert RunRecord.from_csv(rec.to_csv()) == rec
 
 
+def test_csv_empty_payloads_round_trip():
+    for payload in ({"rows": []}, {}):
+        rec = RunRecord("x", {}, None, "0", 0.0, payload)
+        assert RunRecord.from_csv(rec.to_csv()) == rec
+
+
 @pytest.mark.parametrize("command", sorted(BASE_ARGV))
 def test_csv_record_reads_back_as_the_json_record(command, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -32,7 +32,19 @@ from fblimits import (
     uniform_codebook_bound,
 )
 
-from fblimits.montecarlo import _LEVEL_BLOCK, _exponentials, _grid_integral, _log_cdf, _panel, _rng
+from fblimits import montecarlo
+from fblimits.montecarlo import (
+    _LEVEL_BLOCK,
+    _chernoff_fixed,
+    _exponentials,
+    _grid_integral,
+    _log_cdf,
+    _log_complement,
+    _lower_is_rare,
+    _panel,
+    _rng,
+    _survival_power,
+)
 
 TWO_POINT = np.array([0.0, 2.0])
 
@@ -516,6 +528,81 @@ def test_tilted_route_outputs_are_pinned_at_full_panels():
     assert quantile_x_n(lam, 2.0**-48, seed=2) == pytest.approx(0.25981836704365024, rel=1e-12)
     assert uniform_codebook_bound(lam, 48, "min", seed=3) == pytest.approx(0.25306972860265026, rel=1e-12)
     assert uniform_codebook_bound(lam, 48, "max", seed=3) == pytest.approx(2.532928048828711, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, m, r_fb, want", [
+    (16, 8, 1, (0.8280582308053953, 1.2240818321499631)),
+    (16, 8, 64, (0.0018255477330543835, 4.720184190732975)),
+    (16, 8, 1100, (2.839859748911721e-13, 4.91787263391053)),
+    (48, 24, 1, (0.8939651030100967, 1.1219155690753322)),
+    (48, 24, 64, (0.06762171425266207, 3.7016311291887005)),
+    (48, 24, 1100, (3.0178045406551265e-13, 5.226024761242999)),
+    (48, 48, 1, (0.9212645972423071, 1.0790730691082913)),
+    (48, 48, 64, (0.19258948947562296, 2.7958997366072404)),
+    (48, 48, 1100, (0.0009640952275962114, 3.8355651039713474)),
+])
+def test_extreme_integrals_are_pinned_exactly(n, m, r_fb, want):
+    # Exact equality: skipping levels whose integrand value is already known
+    # must not move a single bit.  m = n/2 puts a zero atom with ties in the
+    # spectrum; r_fb = 1 reaches the lower side's 1.0 branch, r_fb = 64 the
+    # upper side's 1 - 1e-16 clamp, and r_fb = 1100 is deep feedback.
+    lam = sample_spectrum(n, m, seed=0).eigenvalues
+    got = tuple(c_rand_via_cdf(lam, r_fb, mode, 4000, seed=1) for mode in ("min", "max"))
+    assert got == want
+
+
+def test_extreme_integrals_evaluate_only_the_levels_no_bound_fixes(monkeypatch):
+    # The full-panel pinned inputs above: the Chernoff certificate keeps
+    # 48 + 12 + 50 + 12 of their 67 + 64 + 69 + 66 levels from _log_cdf.
+    counts = []
+    log_cdf = montecarlo._log_cdf
+
+    def counted(arr, expo, xs):
+        counts[-1] += len(xs)
+        return log_cdf(arr, expo, xs)
+
+    monkeypatch.setattr(montecarlo, "_log_cdf", counted)
+    for n in (16, 48):
+        lam = sample_spectrum(n, n // 2, seed=0).eigenvalues
+        for mode in ("min", "max"):
+            counts.append(0)
+            c_rand_via_cdf(lam, n, mode, 20000, seed=1)
+    assert counts == [19, 52, 19, 54]
+
+
+def test_chernoff_certificate_fixes_only_what_the_estimate_gives():
+    # Spectra: beta = 2 with its atom of exact zeros, beta = 1 at n = 200,
+    # where the lower side's 1.0 gets certified, and repeated eigenvalues.
+    fixed = {0.0: 0, 1.0: 0}
+    for lam in (sample_spectrum(16, 8, seed=0).eigenvalues,
+                sample_spectrum(200, 200, seed=0).eigenvalues,
+                np.repeat([0.2, 0.9, 1.0, 2.5], [3, 1, 4, 2])):
+        expo = _panel(lam, 4000, seed=6, role=12)
+        lmin, lmax = float(lam.min()), float(lam.max())
+        edge = (lmax - lmin) * np.logspace(-6, -2, 5)
+        xs = np.concatenate((lmin + edge, np.linspace(lmin, lmax, 66)[1:-1], lmax - edge, [0.9, 1.0]))
+        xs = np.sort(xs[(xs > lmin) & (xs < lmax)])
+        # The row-sum side test matches the per-level sum it replaced.
+        assert _lower_is_rare(lam - xs[:, None]).tolist() == [float((lam - x).sum()) >= 0.0 for x in xs]
+        log_ps = [_log_cdf(lam, expo, [x])[0][0] for x in xs]
+        for r_fb in (1, 16, 48, 64, 200, 1100):
+            for log_p, want in zip(log_ps, _chernoff_fixed(lam, xs, r_fb)):
+                if not math.isnan(want):
+                    assert _survival_power(log_p, r_fb) == want
+                    fixed[want] += 1
+        # The cap at the clamped Newton step, and at any other tilt between
+        # the poles, bounds the rare-side estimate.
+        for x, log_p in zip(xs, log_ps):
+            c = lam - x
+            poles = np.array([0.5 / c.min(), 0.5 / c.max()])
+            for gamma in (np.clip(-c.sum() / (c @ c), *poles), *np.linspace(*(1.998 * poles), 9)):
+                cap = -np.log1p(-gamma * c).sum()
+                cap += 1e-9 * (1.0 + abs(cap))
+                if c.sum() >= 0.0:
+                    assert log_p <= cap
+                else:
+                    assert log_p >= _log_complement(cap)
+    assert fixed[0.0] > 0 and fixed[1.0] > 0
 
 
 def _rel_gap(a: float, b: float) -> float:
