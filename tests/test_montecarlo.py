@@ -543,9 +543,11 @@ def test_tilted_route_outputs_are_pinned_at_full_panels():
 ])
 def test_extreme_integrals_are_pinned_exactly(n, m, r_fb, want):
     # Exact equality: skipping levels whose integrand value is already known
-    # must not move a single bit.  m = n/2 puts a zero atom with ties in the
-    # spectrum; r_fb = 1 reaches the lower side's 1.0 branch, r_fb = 64 the
-    # upper side's 1 - 1e-16 clamp, and r_fb = 1100 is deep feedback.
+    # must not move a single bit.  m = n/2 puts an atom of exact zeros in the
+    # spectrum.  At r_fb = 1 evaluated levels take _survival_power's
+    # log_p <= -37 branch to 1.0; r_fb = 64 is the least depth at which the
+    # 1 - 1e-16 clamp alone fixes every upper-side level at 0.0; r_fb = 1100
+    # is deep feedback.
     lam = sample_spectrum(n, m, seed=0).eigenvalues
     got = tuple(c_rand_via_cdf(lam, r_fb, mode, 4000, seed=1) for mode in ("min", "max"))
     assert got == want
@@ -590,12 +592,12 @@ def test_chernoff_certificate_fixes_only_what_the_estimate_gives():
                 if not math.isnan(want):
                     assert _survival_power(log_p, r_fb) == want
                     fixed[want] += 1
-        # The cap at the clamped Newton step, and at any other tilt between
-        # the poles, bounds the rare-side estimate.
+        # The cap at the clamped Newton step, and at 9 tilts reaching 0.999 of
+        # the way to each pole, bounds the rare-side estimate.
         for x, log_p in zip(xs, log_ps):
             c = lam - x
-            poles = np.array([0.5 / c.min(), 0.5 / c.max()])
-            for gamma in (np.clip(-c.sum() / (c @ c), *poles), *np.linspace(*(1.998 * poles), 9)):
+            half = np.array([0.5 / c.min(), 0.5 / c.max()])
+            for gamma in (np.clip(-c.sum() / (c @ c), *half), *np.linspace(*(1.998 * half), 9)):
                 cap = -np.log1p(-gamma * c).sum()
                 cap += 1e-9 * (1.0 + abs(cap))
                 if c.sum() >= 0.0:
