@@ -54,9 +54,14 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 DIRECT_BUDGET = 5_000_000_000  # max 2^R_fb * n * trials for enumeration paths
-_MAX_ENTRIES = 1 << 24  # largest array one call builds: a trial's codewords, the design Gram
+_MAX_ENTRIES = 1 << 24  # largest array one call builds: a block of direct trials, the design Gram
 
-_GRAM_BLOCK = 512  # Gram rows formed at once by _max_cross_gain
+# Gram rows formed at once by _max_cross_gain.  64 rows of 4096 words are a
+# 4 MB complex block and a 2 MB modulus, which stay in cache between the
+# product and the max; 32 and 128 rows time about the same, 512 about twice
+# as slow.
+_GRAM_BLOCK = 64
+_TRIAL_BLOCK = 64  # direct trials drawn one by one, then computed together
 _LEVEL_BLOCK = 16  # CDF levels whose tilted sums _log_cdf forms at once
 
 
@@ -114,6 +119,9 @@ class Codebook:
         """Minimum pairwise chordal distance; None for a single codeword.
 
         Computed from an O(K^2 n) Gram product on first read, then cached.
+        The Gram is formed _GRAM_BLOCK rows at a time, so the read holds at
+        most _GRAM_BLOCK x K x 24 bytes of it (a complex block and its
+        modulus) next to one conjugated copy of the codewords.
         """
         if self.size < 2:
             return None
@@ -131,18 +139,22 @@ def _isotropic_rows(rng: np.random.Generator, size: int, n: int) -> np.ndarray:
 
 def _real_rows(v: np.ndarray) -> np.ndarray:
     """Rows [Re v, Im v]: complex C^n codewords embedded in R^2n."""
-    return np.concatenate((v.real, v.imag), axis=1)
+    return np.concatenate((v.real, v.imag), axis=-1)
 
 
 def _max_cross_gain(vectors: np.ndarray) -> float:
-    """Largest off-diagonal |<v_i, v_j>|^2, from row blocks of the Gram's upper triangle."""
+    """Largest off-diagonal |<v_i, v_j>|^2, from row blocks of the Gram's upper triangle.
+
+    The running max is taken over |<v_i, v_j>| and squared once: rounding is
+    monotone, so max(|g|)^2 == max(|g|^2) exactly.
+    """
     worst = 0.0
     conj_t = vectors.conj().T
     for start in range(0, vectors.shape[0], _GRAM_BLOCK):
-        p = np.abs(vectors[start:start + _GRAM_BLOCK] @ conj_t[:, start:]) ** 2
+        p = np.abs(vectors[start:start + _GRAM_BLOCK] @ conj_t[:, start:])
         np.fill_diagonal(p, 0.0)  # each row's gain with itself
         worst = max(worst, float(p.max()))
-    return worst
+    return worst * worst
 
 
 def _chordal_from_gain(gain: float) -> float:
@@ -266,11 +278,21 @@ class Estimate:
     samples: int
 
 
-def _estimate_from(trials: int, worker) -> Estimate:
-    """Mean and standard error of worker(t) over trials t = 0..trials-1."""
-    vals = np.array([worker(t) for t in range(trials)], dtype=float)
+def _estimate_from(vals: np.ndarray) -> Estimate:
+    """Mean and standard error of the per-trial values, in trial order."""
+    trials = len(vals)
     stderr = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return Estimate(mean=float(vals.mean()), stderr=stderr, samples=trials)
+
+
+def _trial_blocks(trials: int, entries: int) -> list[range]:
+    """Consecutive trial ranges of at most _TRIAL_BLOCK trials, one at least.
+
+    A block of more than one trial holds at most _MAX_ENTRIES array entries
+    when each trial holds `entries`.
+    """
+    step = max(1, min(_TRIAL_BLOCK, _MAX_ENTRIES // entries))
+    return [range(start, min(start + step, trials)) for start in range(0, trials, step)]
 
 
 def _check_budget(cfg: SimConfig, codebook: Codebook | None = None) -> int:
@@ -297,25 +319,46 @@ def simulate_c_direct(cfg: SimConfig, codebook: Codebook | None = None, threads:
 
     codebook=None redraws an isotropic codebook every trial (the random
     ensemble); a fixed Codebook evaluates that specific design.
-    `threads` is accepted and ignored: trials run in order on this thread.
+    Trials run in order on the calling thread: each trial draws from its
+    own stream in the order of spectra._complex_normal, and the products of
+    a block of up to _TRIAL_BLOCK trials are then formed together, which
+    moves no bit of any trial.
+    `threads` is accepted and ignored.
     """
     k = _check_budget(cfg, codebook)
     if codebook is not None and codebook.n != cfg.n:
         raise ValueError(f"codebook dimension {codebook.n} != cfg.n {cfg.n}")
+    n, m = cfg.n, cfg.m
     fixed = None if codebook is None else _real_rows(codebook.vectors)
-    pick = np.min if cfg.mode == "min" else np.max
-
-    def worker(t: int) -> float:
-        rng = _rng(cfg.seed, 1, t)
-        h = _channel(rng, cfg.n, cfg.m)
-        a = (h @ h.conj().T) / cfg.n
-        vr = _real_rows(_isotropic_rows(rng, k, cfg.n)) if fixed is None else fixed
-        # Re(v* A v) = [Re v, Im v] A_r [Re v, Im v]^T: one real GEMM.
-        a_r = np.block([[a.real, -a.imag], [a.imag, a.real]])
-        quad = np.einsum("ij,ij->i", vr @ a_r, vr)
-        return float(pick(quad))
-
-    return _estimate_from(cfg.trials, worker)
+    # A trial's largest array: its channel, its real A, or its k codewords'
+    # products with A.
+    entries = n * max(m, 4 * n, k)
+    vals = np.empty(cfg.trials)
+    for block in _trial_blocks(cfg.trials, entries):
+        b = len(block)
+        h_re, h_im = np.empty((2, b, n, m))
+        z_re, z_im = np.empty((2, b, k, n)) if fixed is None else (None, None)
+        for j, t in enumerate(block):
+            rng = _rng(cfg.seed, 1, t)
+            rng.standard_normal(out=h_re[j])
+            rng.standard_normal(out=h_im[j])
+            if fixed is None:
+                rng.standard_normal(out=z_re[j])
+                rng.standard_normal(out=z_im[j])
+        h = math.sqrt(0.5) * (h_re + 1j * h_im)
+        a = (h @ h.conj().transpose(0, 2, 1)) / n
+        # Re(v* A v) = [Re v, Im v] A_r [Re v, Im v]^T: one real GEMM per trial.
+        a_r = np.empty((b, 2 * n, 2 * n))
+        a_r[:, :n, :n] = a_r[:, n:, n:] = a.real
+        a_r[:, n:, :n] = a.imag
+        np.negative(a.imag, out=a_r[:, :n, n:])
+        if fixed is None:
+            vr = _real_rows(_unit_rows(z_re + 1j * z_im))
+            quad = np.einsum("bij,bij->bi", vr @ a_r, vr)
+        else:
+            quad = np.stack([np.einsum("ij,ij->i", fixed @ q, fixed) for q in a_r])
+        vals[block.start:block.stop] = quad.min(axis=1) if cfg.mode == "min" else quad.max(axis=1)
+    return _estimate_from(vals)
 
 
 def simulate_c_spectral(cfg: SimConfig, threads: int = 1) -> Estimate:
@@ -337,7 +380,7 @@ def simulate_c_spectral(cfg: SimConfig, threads: int = 1) -> Estimate:
         ratios = (y @ lam) / y.sum(axis=1)
         return factor * float(pick(ratios))
 
-    return _estimate_from(cfg.trials, worker)
+    return _estimate_from(np.array([worker(t) for t in range(cfg.trials)]))
 
 
 def simulate_c_cdf(cfg: SimConfig, samples: int = 20000, threads: int = 1) -> Estimate:
@@ -359,7 +402,7 @@ def simulate_c_cdf(cfg: SimConfig, samples: int = 20000, threads: int = 1) -> Es
         )
         return factor * val
 
-    return _estimate_from(cfg.trials, worker)
+    return _estimate_from(np.array([worker(t) for t in range(cfg.trials)]))
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,14 @@ def test_asymptotic_limits_fields_and_scaling():
     assert res.r_max == pytest.approx(0.38436279501498355, abs=1e-13)
 
 
+@pytest.mark.parametrize("r", (1.0, 3.0, 10.0, 20.0, 40.0))
+def test_asymptotic_limits_solve_just_below_beta_one(r):
+    # The residual check (1e-8 + |alpha*| ulp(x)) fails here unless the
+    # quadrature weights the law correctly near beta = 1.
+    res = asymptotic_limits(0.99999, r)
+    assert 0.0 < res.x_minus < 1.0 < res.x_plus < mp_law(0.99999).lambda_plus
+
+
 # asymptotic_limits(beta, r) levels on criterion 1's 5x5 grid.  Pinned to
 # 1e-13 relative rather than bit for bit: the explicit branches' evaluation
 # order is free to change, their value is not.

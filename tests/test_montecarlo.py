@@ -7,6 +7,7 @@ integrals, quantiles, and codebook bounds all have hand-derived values.
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,11 +339,85 @@ def _sha(vectors):
     (12, 513, 0.6092939355045415),
     (12, 1100, 0.5262902781721801),
     (12, 4096, 0.4580332438801486),
+    # Recorded with 512-row blocks: 65 and 129 leave a one-row last block.
+    (2, 63, 0.02653174310377917),
+    (2, 64, 0.006021860226457827),
+    (2, 65, 0.025767175423480455),
+    (2, 129, 0.01306365101614002),
+    (12, 63, 0.6624498367707349),
+    (12, 64, 0.6249329428847488),
+    (12, 65, 0.7401412102121714),
+    (12, 129, 0.6454166865221421),
 ])
 def test_min_chordal_is_pinned_across_gram_blocks(n, size, want):
-    # Sizes on both sides of the 512-row Gram block and several blocks
-    # deep; the blocked search must find the same pair to the last bit.
+    # Sizes on both sides of 64-row Gram block edges (512 is one of them)
+    # and many blocks deep; the blocked search must find the same pair to
+    # the last bit.
     assert random_codebook(n, size, seed=3).min_chordal == want
+
+
+def test_min_chordal_memory_stays_within_one_gram_block():
+    # One block of _GRAM_BLOCK rows by K words is a complex product and its
+    # modulus (24 bytes an entry); add two copies of the codewords and 4 MiB
+    # of slack.  The whole 512-row Gram block once traced 58.8 MB here.
+    size, n = 4096, 12
+    bound = montecarlo._GRAM_BLOCK * size * 24 + 2 * size * n * 16 + (4 << 20)
+    assert bound < 16e6
+    cb = random_codebook(n, size, seed=1)
+    tracemalloc.start()
+    try:
+        cb.min_chordal
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
+# (trials, mode, fresh, fixed): (mean, stderr) recorded one trial at a time.
+PINNED_DIRECT_BLOCKS = (
+    (1, "min", (0.6994954206146731, 0.0), (0.5673626491335074, 0.0)),
+    (1, "max", (2.4035115616853004, 0.0), (2.47883595797394, 0.0)),
+    (63, "min", (0.49707262056906953, 0.02339178581941221), (0.4649295173879643, 0.02304229027276293)),
+    (63, "max", (2.4409820657577828, 0.07832104411072145), (2.4639110202498413, 0.07788926053033669)),
+    (64, "min", (0.4933225408029222, 0.023326797962950403), (0.4648598029200902, 0.022679504028188104)),
+    (64, "max", (2.4344082799485753, 0.07736735293069602), (2.4607789941863607, 0.07672653364328179)),
+    (65, "min", (0.49047143696209583, 0.02314142481289201), (0.46400971266929086, 0.022344039425456347)),
+    (65, "max", (2.4279719538130227, 0.07643924374567426), (2.4492551980857455, 0.07641087344758808)),
+    (129, "min", (0.4787275727644222, 0.016281137063621522), (0.4609953995880907, 0.01470840200391204)),
+    (129, "max", (2.2967959517991305, 0.05302033579412651), (2.2950713485110263, 0.05535991540753175)),
+)
+
+
+@pytest.mark.parametrize("trials, mode, fresh, fixed", PINNED_DIRECT_BLOCKS)
+def test_direct_estimates_are_pinned_across_trial_blocks(trials, mode, fresh, fixed):
+    # Trial counts on both sides of the 64-trial block and a partial third
+    # block: blocking the products must not move a bit of any trial.
+    cfg = SimConfig(n=4, m=5, r_fb=5, trials=trials, seed=17, mode=mode)
+    cb = random_codebook(4, 32, seed=23)
+    assert simulate_c_direct(cfg) == Estimate(*fresh, trials)
+    assert simulate_c_direct(cfg, codebook=cb) == Estimate(*fixed, trials)
+
+
+def test_direct_trial_blocks_respect_the_entry_cap(monkeypatch):
+    # With the cap at one trial's entries every block holds one trial, and
+    # the estimates stay those of the default 64-trial blocks.
+    cfg = SimConfig(n=4, m=5, r_fb=6, trials=70, seed=3)
+    cb = random_codebook(4, 64, seed=8)
+    want = [simulate_c_direct(cfg), simulate_c_direct(cfg, codebook=cb)]
+    blocks = []
+
+    def spy(trials, entries):
+        out = trial_blocks(trials, entries)
+        blocks.extend((len(block), entries) for block in out)
+        return out
+
+    trial_blocks = montecarlo._trial_blocks
+    monkeypatch.setattr(montecarlo, "_trial_blocks", spy)
+    cap = 4 * 64  # k n: a trial's codewords, the largest array it holds
+    monkeypatch.setattr(montecarlo, "_MAX_ENTRIES", cap)
+    got = [simulate_c_direct(cfg), simulate_c_direct(cfg, codebook=cb)]
+    assert got == want
+    assert blocks == [(1, cap)] * (2 * 70)
 
 
 @pytest.mark.parametrize("n, size, want_chordal, want_sha", [

@@ -287,6 +287,18 @@ def test_rate_zero_forgives_a_miss_within_the_half_grid_resolution(monkeypatch):
     assert calls == [4096, 2048]
 
 
+def test_rate_zero_agrees_on_the_full_grid_just_below_beta_one(monkeypatch):
+    # 59 evenly spaced levels inside the support at beta = 0.999999, where
+    # the plain midpoint rule missed the closed form by about 1e-6 at 10 of
+    # them.  Each must now agree within the 1e-6 bar on the full grid alone.
+    law = mp_law(0.999999)
+    levels = np.linspace(law.lambda_t_minus, law.lambda_plus, 61)[1:-1]
+    calls = count_integrals(monkeypatch)
+    for x in levels:
+        assert rate_zero(ctx(law.beta, float(x))).value >= 0.0
+    assert calls == [4096] * len(levels)  # no level needed the half grid
+
+
 def test_rate_zero_raises_when_the_closed_form_is_off(monkeypatch):
     saddle = ratefn._saddle
 

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from fblimits import (
+    DEFAULT_QUADRATURE,
     QuadratureConfig,
     QuadratureError,
     mp_integrate,
     mp_law,
     sample_spectrum,
 )
+from fblimits import spectra
 
 BETAS = (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -41,6 +43,31 @@ def test_quadrature_moments(beta):
     assert mp_integrate(law, lambda lam: np.ones_like(lam)) == pytest.approx(1.0, abs=1e-10)
     assert mp_integrate(law, lambda lam: lam) == pytest.approx(1.0, abs=1e-10)
     assert mp_integrate(law, lambda lam: lam * lam) == pytest.approx(1.0 + beta, abs=1e-8)
+
+
+# beta just off 1, where the plain midpoint rule aliased the weight's cosine
+# tail onto the mass (1.6e-5 at 0.999); 1 - 1e-6 is the double 0.999999.
+NEAR_ONE = (0.999, 0.99999, 0.999999, 1.0 + 1e-6, 1.001)
+
+
+@pytest.mark.parametrize("beta", NEAR_ONE)
+def test_quadrature_moments_near_one(beta):
+    # The 1e-10 mass bar of test_quadrature_moments, for three moments too.
+    law = mp_law(beta)
+    moments = (1.0, 1.0, 1.0 + beta, 1.0 + 3.0 * beta + beta * beta)
+    for power, want in enumerate(moments):
+        got = mp_integrate(law, lambda lam: lam ** power)
+        assert got == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize("beta", BETAS)
+def test_weights_away_from_one_are_the_midpoint_rule(beta):
+    # The product-integration term underflows to 0 here, so the weights are
+    # the plain (2/n) sin^2(theta) / lam of the midpoint rule to the bit.
+    lam, weights = spectra._nodes_and_weights(mp_law(beta), DEFAULT_QUADRATURE)
+    n = DEFAULT_QUADRATURE.node_count
+    theta = (np.arange(n) + 0.5) * (math.pi / n)
+    assert np.array_equal(weights, (2.0 / n) * np.sin(theta) ** 2 / lam)
 
 
 def test_second_moment_against_wishart_mc():
