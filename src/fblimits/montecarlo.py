@@ -330,9 +330,9 @@ def simulate_c_direct(cfg: SimConfig, codebook: Codebook | None = None, threads:
         raise ValueError(f"codebook dimension {codebook.n} != cfg.n {cfg.n}")
     n, m = cfg.n, cfg.m
     fixed = None if codebook is None else _real_rows(codebook.vectors)
-    # A trial's largest array: its channel, its real A, or its k codewords'
-    # products with A.
-    entries = n * max(m, 4 * n, k)
+    # A trial's largest array: its channel (n m), its real A (4 n^2), or its
+    # k fresh codewords' real rows and their products with A (2 k n each).
+    entries = n * max(m, 4 * n, 2 * k)
     vals = np.empty(cfg.trials)
     for block in _trial_blocks(cfg.trials, entries):
         b = len(block)
@@ -483,8 +483,11 @@ def _log_cdf(arr: np.ndarray, expo: np.ndarray, xs) -> list[tuple[float, float, 
     """log P(sum (arr_i - x) Y_i <= 0) at each level x of xs, by exact-likelihood-ratio tilting.
 
     expo is a _panel of the spectrum.  Each level keeps its own tilt root;
-    the tilted sums of _LEVEL_BLOCK levels come from one panel product.  The
-    indicator is taken on the rare side of the tilt.  Returns, per level,
+    the tilted sums of _LEVEL_BLOCK levels come from one panel product.
+    numpy forms a one-level block's product by GEMV and a larger block's by
+    GEMM, which may round apart, so a level's last bits can depend on how
+    many levels share its call; no caller relies on them.  The indicator is
+    taken on the rare side of the tilt.  Returns, per level,
     (log_prob, effective sample size, stderr of the rare-side log estimate,
     gamma).
     """
@@ -716,16 +719,7 @@ def _c_min_via_cdf(arr: np.ndarray, r_fb: int, samples: int, seed: int) -> float
     def integrand(xs: np.ndarray) -> np.ndarray:
         vals = _chernoff_fixed(arr, xs, r_fb)
         todo = np.flatnonzero(np.isnan(vals))
-        # _log_cdf forms a lone level's sums by GEMV and a block's by GEMM,
-        # which may round apart.  So a level goes alone only where the full
-        # round left it alone, last after whole _LEVEL_BLOCKs; any other lone
-        # level is sent twice.
-        lone = xs.size % _LEVEL_BLOCK == 1 and todo[-1:].tolist() == [xs.size - 1]
-        rest = todo[:-1] if lone else todo
-        if rest.size % _LEVEL_BLOCK == 1:
-            rest = np.append(rest, rest[-1])
-        for idx in (rest, todo[-1:]) if lone else (rest,):
-            vals[idx] = [_survival_power(lp, r_fb) for lp, *_ in _log_cdf(arr, expo, xs[idx])]
+        vals[todo] = [_survival_power(lp, r_fb) for lp, *_ in _log_cdf(arr, expo, xs[todo])]
         return vals
 
     return lmin + _grid_integral(integrand, lmin, float(arr.max()), 1.0, 0.0)

@@ -307,6 +307,8 @@ def test_csv_empty_payloads_round_trip():
     for payload in ({"rows": []}, {}):
         rec = RunRecord("x", {}, None, "0", 0.0, payload)
         assert RunRecord.from_csv(rec.to_csv()) == rec
+    with pytest.raises(ValueError, match="missing provenance line"):
+        RunRecord.from_csv("key,value\n")
 
 
 @pytest.mark.parametrize("command", sorted(BASE_ARGV))

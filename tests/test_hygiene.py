@@ -1,4 +1,4 @@
-"""Source hygiene: no dead imports, and a pinned public surface."""
+"""Source hygiene: no dead imports or private names, and a pinned public surface."""
 
 import ast
 import pathlib
@@ -111,6 +111,58 @@ def test_exponential_draws_have_one_home(path):
 def test_unused_import_check_sees_dead_names():
     tree = ast.parse("import math\nfrom os import path as p, sep\nprint(sep)\n")
     assert _unused_imports(tree) == ["math (line 1)", "p (line 2)"]
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """Module-level private functions, classes and constants, with their lines."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        found += [(name, node.lineno) for name in targets
+                  if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def _unused_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Private definitions neither loaded in their own module nor imported or reached as an attribute."""
+    shared = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                shared.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                shared.update(alias.name for alias in node.names)
+    unused = []
+    for file, tree in trees.items():
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{name} ({file} line {line})" for name, line in _private_definitions(tree)
+                   if name not in loaded | shared]
+    return unused
+
+
+def test_no_unused_private_names():
+    # Tests may reach private names, but each must also serve the package.
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert sum(len(_private_definitions(t)) for t in trees.values()) > 0
+    assert _unused_private_names(trees) == []
+
+
+def test_unused_private_check_sees_dead_names():
+    trees = {
+        "a.py": ast.parse("_used = 1\n_dead: int = 2\ndef _f():\n    return _used\nclass _C: ...\n"),
+        "b.py": ast.parse("from a import _C\n__all__ = []\n_used = 3\n"),
+    }
+    assert _unused_private_names(trees) == [
+        "_dead (a.py line 2)", "_f (a.py line 3)", "_used (b.py line 3)",
+    ]
 
 
 PUBLIC_NAMES = [

@@ -428,6 +428,8 @@ def test_throughput_golden_points():
     with pytest.raises(ValueError):
         throughput(1.0, 0.0, "mimo_max")
     with pytest.raises(ValueError):
+        throughput(-1.0, 0.1, "cdma_min")
+    with pytest.raises(ValueError):
         throughput(1.0, 1.0, "nonsense")
 
 

@@ -115,6 +115,17 @@ def test_random_codebook_defers_geometry():
     assert random_codebook(4, 1, seed=5).min_chordal is None
 
 
+def test_codebook_inputs_are_checked():
+    for make in (lambda: random_codebook(0, 4, seed=0),
+                 lambda: design_codebook(0, 4, seed=0),
+                 lambda: design_codebook(4, 8, seed=0, iterations=0)):
+        with pytest.raises(ValueError):
+            make()
+    cfg = SimConfig(n=4, m=4, r_fb=2, trials=2, seed=0)
+    with pytest.raises(ValueError, match="codebook dimension 3"):
+        simulate_c_direct(cfg, codebook=random_codebook(3, 4, seed=0))
+
+
 def test_design_orthonormal_when_small():
     cb = design_codebook(2, 2, seed=0)
     assert cb.min_chordal == pytest.approx(1.0, abs=1e-6)
@@ -399,8 +410,10 @@ def test_direct_estimates_are_pinned_across_trial_blocks(trials, mode, fresh, fi
 
 
 def test_direct_trial_blocks_respect_the_entry_cap(monkeypatch):
-    # With the cap at one trial's entries every block holds one trial, and
-    # the estimates stay those of the default 64-trial blocks.
+    # A trial's largest arrays are its 2 k n fresh real rows and their
+    # products with A.  With the cap at one trial's entries, or below two
+    # trials', every block holds one trial, and the estimates stay those of
+    # the default 64-trial blocks.
     cfg = SimConfig(n=4, m=5, r_fb=6, trials=70, seed=3)
     cb = random_codebook(4, 64, seed=8)
     want = [simulate_c_direct(cfg), simulate_c_direct(cfg, codebook=cb)]
@@ -413,11 +426,12 @@ def test_direct_trial_blocks_respect_the_entry_cap(monkeypatch):
 
     trial_blocks = montecarlo._trial_blocks
     monkeypatch.setattr(montecarlo, "_trial_blocks", spy)
-    cap = 4 * 64  # k n: a trial's codewords, the largest array it holds
-    monkeypatch.setattr(montecarlo, "_MAX_ENTRIES", cap)
-    got = [simulate_c_direct(cfg), simulate_c_direct(cfg, codebook=cb)]
-    assert got == want
-    assert blocks == [(1, cap)] * (2 * 70)
+    for cap in (2 * 64 * 4, 1000):
+        blocks.clear()
+        monkeypatch.setattr(montecarlo, "_MAX_ENTRIES", cap)
+        got = [simulate_c_direct(cfg), simulate_c_direct(cfg, codebook=cb)]
+        assert got == want
+        assert blocks == [(1, 2 * 64 * 4)] * (2 * 70)
 
 
 @pytest.mark.parametrize("n, size, want_chordal, want_sha", [
@@ -502,6 +516,8 @@ def test_exponentials_are_the_inverse_cdf_on_one_uniform_each():
 def test_plain_cdf_degenerate_cases():
     assert conditional_cdf_mc([2.0], 1.0, 1000, seed=0) == 0.0
     assert conditional_cdf_mc([2.0], 3.0, 1000, seed=0) == 1.0
+    with pytest.raises(ValueError):
+        conditional_cdf_mc(TWO_POINT, 1.0, 0, seed=0)
 
 
 def test_plain_cdf_symmetric_point():
@@ -645,6 +661,35 @@ def test_extreme_integrals_evaluate_only_the_levels_no_bound_fixes(monkeypatch):
             counts.append(0)
             c_rand_via_cdf(lam, n, mode, 20000, seed=1)
     assert counts == [19, 52, 19, 54]
+
+
+def test_extreme_integrals_send_each_open_level_once(monkeypatch):
+    # The first seed-0 cdf_extremes input.  Each grid round makes one
+    # _log_cdf call, on exactly the levels the Chernoff certificate left
+    # open, so no level is evaluated twice.
+    rounds, sent = [], []
+    log_cdf = montecarlo._log_cdf
+    grid_integral = montecarlo._grid_integral
+
+    def spy(arr, expo, xs):
+        sent.append((arr, xs))
+        return log_cdf(arr, expo, xs)
+
+    def recorded_grid(f, *args):
+        def g(xs):
+            rounds.append(xs)
+            return f(xs)
+        return grid_integral(g, *args)
+
+    monkeypatch.setattr(montecarlo, "_log_cdf", spy)
+    monkeypatch.setattr(montecarlo, "_grid_integral", recorded_grid)
+    cfg = SimConfig(n=16, m=8, r_fb=16, trials=1, seed=3626764237, mode="min")
+    assert simulate_c_cdf(cfg, samples=20000).mean == float.fromhex("0x1.f55e67c8bd419p-5")
+    assert len(sent) == len(rounds)
+    for xs, (arr, got) in zip(rounds, sent):
+        assert got.tolist() == xs[np.isnan(_chernoff_fixed(arr, xs, cfg.r_fb))].tolist()
+    levels = [x for _, xs in sent for x in xs.tolist()]
+    assert len(levels) == len(set(levels))
 
 
 def test_chernoff_certificate_fixes_only_what_the_estimate_gives():
@@ -826,6 +871,8 @@ def test_quantile_validation():
         quantile_x_n(np.full(3, 1.0), 0.5, seed=0)
     with pytest.raises(ValueError):
         quantile_x_n(TWO_POINT, 1.0, seed=0)
+    with pytest.raises(ValueError):
+        quantile_x_n(TWO_POINT, 0.5, seed=0, samples=1)
 
 
 @pytest.mark.parametrize("width", [2.0**-52, 1e-15], ids=["one-ulp", "1e-15"])

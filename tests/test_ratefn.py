@@ -74,6 +74,9 @@ def test_cgf_infinite_outside_interval():
     assert cgf(c, hi * 1.5) == math.inf
     assert cgf(c, lo * 1.5) == math.inf
     assert cgf(c, math.nan) == math.inf
+    # At beta = 2 the lower end -1/x is inside the closed interval, but there
+    # the atom at zero puts log(1 + alpha x) at log 0.
+    assert cgf(ctx(2.0, 0.5), -2.0) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +112,14 @@ def test_cgf_prime_closed_route_agrees(beta, x):
         quad = cgf_prime(c, alpha)
         closed = cgf_prime_closed(c, alpha)
         assert closed == pytest.approx(quad, rel=1e-9, abs=1e-9)
+
+
+def test_cgf_prime_refuses_the_interval_end():
+    c = ctx(2.0, 0.5)
+    hi = c.interval()[1]
+    for prime in (cgf_prime, cgf_prime_closed):
+        with pytest.raises(ValueError, match="outside the open interval"):
+            prime(c, hi)
 
 
 def test_cgf_prime_closed_removable_point():
@@ -403,6 +414,8 @@ def test_rate_function_nonnegative():
     c = ctx(0.5, 1.3)
     for t in np.linspace(-1.0, 1.0, 11):
         assert rate_function(c, float(t)).value >= -1e-12
+    with pytest.raises(ValueError, match="t must be finite"):
+        rate_function(c, math.nan)
 
 
 def test_context_rejects_level_outside_support():

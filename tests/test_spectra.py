@@ -111,6 +111,8 @@ def test_quadrature_error_names_offending_node():
     with pytest.raises(QuadratureError) as exc:
         mp_integrate(law, bad)
     assert "lambda=" in str(exc.value)
+    with pytest.raises(QuadratureError, match="at the atom lambda=0"):
+        mp_integrate(mp_law(2.0), lambda lam: np.where(lam == 0.0, np.inf, lam))
 
 
 @pytest.mark.parametrize("g", (lambda lam: 1.0, lambda lam: lam[:-1]), ids=("scalar", "short"))
