@@ -226,7 +226,7 @@ def _cmd_simulate(args, parser: argparse.ArgumentParser) -> dict:
     codebook = None
     if args.codebook == "designed":
         # The budget is checked before 2^r_fb codewords are designed.
-        codebook = design_codebook(cfg.n, _check_budget(cfg), cfg.seed)
+        codebook = design_codebook(cfg.n, _check_budget(cfg)[0], cfg.seed)
     if args.method == "direct":
         est = simulate_c_direct(cfg, codebook=codebook)
     elif args.method == "spectral":

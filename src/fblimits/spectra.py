@@ -182,8 +182,7 @@ def sample_spectrum(n: int, m: int, seed: int) -> SpectrumSample:
 def _complex_normal(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     """Real and imaginary parts i.i.d. N(0, 1), the real part drawn first.
 
-    simulate_c_direct draws its trials' channels and codewords in this order
-    into preallocated buffers; every other Gaussian draw goes through here.
+    Every Gaussian draw in the package goes through here.
     """
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 

@@ -108,6 +108,24 @@ def test_exponential_draws_have_one_home(path):
     assert "standard_exponential" not in path.read_text()
 
 
+def _gaussian_draw_sites(path: pathlib.Path) -> list[str]:
+    """Lines naming standard_normal outside spectra._complex_normal."""
+    text = path.read_text()
+    home = set()
+    if path.name == "spectra.py":
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.FunctionDef) and node.name == "_complex_normal":
+                home = set(range(node.lineno, node.end_lineno + 1))
+    return [f"line {i}" for i, line in enumerate(text.splitlines(), 1)
+            if "standard_normal" in line and i not in home]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_gaussian_draws_have_one_home(path):
+    # spectra._complex_normal draws every N(0, 1) variate in the package.
+    assert _gaussian_draw_sites(path) == []
+
+
 def test_unused_import_check_sees_dead_names():
     tree = ast.parse("import math\nfrom os import path as p, sep\nprint(sep)\n")
     assert _unused_imports(tree) == ["math (line 1)", "p (line 2)"]

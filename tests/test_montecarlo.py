@@ -118,6 +118,8 @@ def test_random_codebook_defers_geometry():
 def test_codebook_inputs_are_checked():
     for make in (lambda: random_codebook(0, 4, seed=0),
                  lambda: design_codebook(0, 4, seed=0),
+                 lambda: design_codebook(0, 1, seed=0),
+                 lambda: design_codebook(4, 0, seed=0),
                  lambda: design_codebook(4, 8, seed=0, iterations=0)):
         with pytest.raises(ValueError):
             make()
@@ -432,6 +434,25 @@ def test_direct_trial_blocks_respect_the_entry_cap(monkeypatch):
         got = [simulate_c_direct(cfg), simulate_c_direct(cfg, codebook=cb)]
         assert got == want
         assert blocks == [(1, 2 * 64 * 4)] * (2 * 70)
+
+
+def test_a_trial_over_the_entry_cap_is_refused(monkeypatch):
+    # Each route counts its own largest per-trial array: a direct trial's
+    # 2 k n codeword rows (512 here, fresh or fixed) are over a 256 cap, while
+    # the spectral k x n panel fits.  A 300-entry channel, or a 20 x 20 Gram
+    # (a direct trial's real A is 4 n^2), is over the cap on both routes.
+    monkeypatch.setattr(montecarlo, "_MAX_ENTRIES", 256)
+    cfg = SimConfig(n=4, m=5, r_fb=6, trials=1, seed=0)
+    for run in (lambda: simulate_c_direct(cfg),
+                lambda: simulate_c_direct(cfg, codebook=random_codebook(4, 64, seed=0))):
+        with pytest.raises(BudgetError, match="cap of 256"):
+            run()
+    assert simulate_c_spectral(cfg).samples == 1
+    for wide in (SimConfig(n=1, m=300, r_fb=1, trials=1, seed=0),
+                 SimConfig(n=20, m=1, r_fb=1, trials=1, seed=0)):
+        for simulate in (simulate_c_direct, simulate_c_spectral):
+            with pytest.raises(BudgetError, match="cap of 256"):
+                simulate(wide)
 
 
 @pytest.mark.parametrize("n, size, want_chordal, want_sha", [

@@ -122,6 +122,13 @@ def test_cgf_prime_refuses_the_interval_end():
             prime(c, hi)
 
 
+def test_cgf_prime_raises_when_the_closed_form_is_off(monkeypatch):
+    closed = ratefn.cgf_prime_closed
+    monkeypatch.setattr(ratefn, "cgf_prime_closed", lambda c, alpha: closed(c, alpha) + 1e-6)
+    with pytest.raises(ConsistencyError, match="cgf derivative disagrees"):
+        cgf_prime(ctx(1.0, 0.5), -0.5)
+
+
 def test_cgf_prime_closed_removable_point():
     # At alpha = -1/x the closed form's two diverging terms cancel to
     # x(1 - x/(1 - beta)); compare against the quadrature route.
@@ -324,6 +331,20 @@ def test_rate_zero_raises_when_the_closed_form_is_off(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # full Legendre transform
+
+
+@pytest.mark.parametrize("t, patches, match", [
+    # The probe walk never brackets t, and the endpoint's cgf is not finite.
+    (1.0, {"cgf_prime": lambda c, alpha: -10.0, "cgf": lambda c, alpha: math.inf},
+     "boundary supremum not finite"),
+    # A cgf shifted up by 1 drives alpha t - cgf below zero at the root.
+    (0.1, {"cgf": lambda c, alpha, cgf=cgf: cgf(c, alpha) + 1.0}, "negative transform value"),
+])
+def test_rate_function_raises_on_an_inconsistent_transform(monkeypatch, t, patches, match):
+    for name, patched in patches.items():
+        monkeypatch.setattr(ratefn, name, patched)
+    with pytest.raises(ConsistencyError, match=match):
+        rate_function(ctx(1.0, 0.5), t)
 
 
 def test_rate_function_zero_at_the_mean_gap():

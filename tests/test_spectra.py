@@ -7,6 +7,7 @@ import pytest
 
 from fblimits import (
     DEFAULT_QUADRATURE,
+    EigenSolverError,
     QuadratureConfig,
     QuadratureError,
     mp_integrate,
@@ -173,3 +174,12 @@ def test_sample_spectrum_rejects_bad_dims():
     for n, m in ((0, 4), (4, 0), (-1, 2)):
         with pytest.raises(ValueError):
             sample_spectrum(n, m, seed=0)
+
+
+def test_sample_spectrum_names_a_failed_eigensolve(monkeypatch):
+    def fail(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(spectra, "_clipped_eigs", fail)
+    with pytest.raises(EigenSolverError, match="eigvalsh failed for n=3, m=2, seed=5"):
+        sample_spectrum(3, 2, seed=5)
