@@ -11,7 +11,8 @@ record reads back exactly.
 Exit codes: 0 success; 2 the command line was refused before any
 computation, by a flag's argparse type (which checks that flag's range) or
 by a check across two flags; 3 I/O failure; 4 the computation ran and hit a
-numeric or consistency failure; 5 compute-budget refusal.
+numeric or consistency failure; 5 compute-budget refusal, or an
+allocation the machine refused.
 """
 
 from __future__ import annotations
@@ -120,12 +121,9 @@ def save_codebook(codebook: Codebook, path: str) -> None:
         f"# n={codebook.n} size={codebook.size} kind={codebook.kind} "
         f"seed={codebook.seed} min_chordal={mc}",
     ]
-    for row in codebook.vectors:
-        parts: list[str] = []
-        for z in row:
-            parts.append(f"{z.real:.17g}")
-            parts.append(f"{z.imag:.17g}")
-        lines.append(" ".join(parts))
+    # A complex128 row viewed as floats is already re im re im ...
+    rows = np.ascontiguousarray(codebook.vectors, dtype=np.complex128).view(np.float64)
+    lines += [" ".join(f"{v:.17g}" for v in row) for row in rows.tolist()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -395,10 +393,25 @@ def main(argv: list[str] | None = None) -> int:
             args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
         start = time.perf_counter()
         payload = args.run(args, args.parser)
+        record = RunRecord(
+            command=args.command,
+            params=_record_params(args),
+            seed=getattr(args, "seed", None),
+            version=__version__,
+            duration_s=time.perf_counter() - start,
+            payload=payload,
+        )
+        text = record.to_json() if args.format == "json" else record.to_csv()
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except SystemExit as exc:  # argparse, or a handler's check across flags
         return int(exc.code or 0)
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BudgetError, MemoryError) as exc:
+        # numpy names the refused allocation; a bare MemoryError has no text.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 5
     except (ConsistencyError, ReliabilityError, QuadratureError, EigenSolverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -406,26 +419,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-    duration = time.perf_counter() - start
-    record = RunRecord(
-        command=args.command,
-        params=_record_params(args),
-        seed=getattr(args, "seed", None),
-        version=__version__,
-        duration_s=duration,
-        payload=payload,
-    )
-    text = record.to_json() if args.format == "json" else record.to_csv()
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -209,6 +209,12 @@ def _design_descent(v0: np.ndarray, iterations: int) -> np.ndarray:
     return best_v[int(np.argmin(best_gain))]
 
 
+def _hold(entries: int, what: str) -> None:
+    """Refuse, with BudgetError, an array of more than _MAX_ENTRIES entries."""
+    if entries > _MAX_ENTRIES:
+        raise BudgetError(f"{what} holds {entries} entries, over the cap of {_MAX_ENTRIES}")
+
+
 def design_codebook(n: int, size: int, seed: int, iterations: int = 800) -> Codebook:
     """Grassmannian-style packing via soft-min gradient descent, 8 restarts.
 
@@ -219,22 +225,14 @@ def design_codebook(n: int, size: int, seed: int, iterations: int = 800) -> Code
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if 8 * size * size > _MAX_ENTRIES:
-        raise BudgetError(
-            f"the Gram of 8 restarts x {size}^2 codeword pairs exceeds the cap of "
-            f"{_MAX_ENTRIES} array entries"
-        )
-    if size == 1:
-        vectors = random_codebook(n, 1, seed).vectors
-        return Codebook(n=n, vectors=vectors, kind="designed", seed=int(seed))
-
-    inits = [random_codebook(n, size, seed).vectors]
-    inits += [_isotropic_rows(_rng(seed, 30 + j), size, n) for j in range(1, 8)]
-    if size <= n:
-        q, _ = np.linalg.qr(_complex_normal(_rng(seed, 29), (n, n)))
-        inits[1] = q[:size].copy()
-
-    vectors = _design_descent(np.stack(inits), iterations)
+    _hold(8 * size * size, f"the Gram of 8 restarts x {size}^2 codeword pairs")
+    vectors = random_codebook(n, size, seed).vectors
+    if size > 1:
+        inits = [vectors] + [_isotropic_rows(_rng(seed, 30 + j), size, n) for j in range(1, 8)]
+        if size <= n:
+            q, _ = np.linalg.qr(_complex_normal(_rng(seed, 29), (n, n)))
+            inits[1] = q[:size].copy()
+        vectors = _design_descent(np.stack(inits), iterations)
     return Codebook(n=n, vectors=vectors, kind="designed", seed=int(seed))
 
 
@@ -307,11 +305,7 @@ def _check_budget(cfg: SimConfig, codebook: Codebook | None = None, direct=True)
             "use the conditional-CDF route instead"
         )
     entries = n * (max(m, 4 * n, 2 * k) if direct else max(m, n, k))
-    if entries > _MAX_ENTRIES:
-        raise BudgetError(
-            f"one trial's largest array ({k} codewords, n={n}, m={m}) holds {entries} "
-            f"entries, over the cap of {_MAX_ENTRIES}; use the conditional-CDF route instead"
-        )
+    _hold(entries, f"one trial's largest array ({k} codewords, n={n}, m={m})")
     return k, entries
 
 
@@ -397,18 +391,19 @@ def simulate_c_cdf(cfg: SimConfig, samples: int = 20000, threads: int = 1) -> Es
 # conditional CDF of the weighted exponential ratio
 
 
-def _as_spectrum(lam) -> np.ndarray:
+def _as_spectrum(lam, samples: int, least: int) -> np.ndarray:
+    """lam as a flat float array, refused unless non-empty and finite with samples >= least."""
     arr = np.asarray(lam, dtype=float).ravel()
     if arr.size < 1 or not np.isfinite(arr).all():
         raise ValueError("spectrum must be a non-empty finite array")
+    if samples < least:
+        raise ValueError(f"samples must be >= {least}, got {samples}")
     return arr
 
 
 def conditional_cdf_mc(lam, x: float, samples: int, seed: int) -> float:
     """Plain Monte Carlo estimate of P(sum (lam_i - x) Y_i <= 0)."""
-    arr = _as_spectrum(lam)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    arr = _as_spectrum(lam, samples, 1)
     coeffs = arr - float(x)
     rng = _rng(seed, 10)
     hits = 0
@@ -516,15 +511,13 @@ def conditional_cdf_tilted(lam, x: float, samples: int, seed: int) -> TiltedCdfR
     x must lie strictly between the smallest and largest spectrum values.
     Raises ReliabilityError when the effective sample size drops below 10.
     """
-    arr = _as_spectrum(lam)
+    arr = _as_spectrum(lam, samples, 2)
     x = float(x)
     if not (arr.min() < x < arr.max()):
         raise ValueError(
             f"x={x!r} must lie strictly inside the spectrum range "
             f"({arr.min():.6g}, {arr.max():.6g})"
         )
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
     ((log_p, ess, _, gamma),) = _log_cdf(arr, _panel(arr, samples, seed, 11), [x])
     if ess < 10.0:
         raise ReliabilityError(
@@ -548,11 +541,12 @@ def ldp_rate_estimate(beta: float, x: float, n_list, samples: int, seed: int) ->
             f"x={x!r} must lie in ({law.lambda_t_minus}, {law.lambda_plus}) "
             "and away from the mean at 1"
         )
-    out: list[tuple[int, float]] = []
-    for n in n_list:
-        n = int(n)
+    sizes = [int(n) for n in n_list]
+    for n in sizes:
         if n < 1:
             raise ValueError(f"sizes must be >= 1, got {n}")
+    out: list[tuple[int, float]] = []
+    for n in sizes:
         m = max(1, round(n / beta))
         spec = sample_spectrum(n, m, _child_seed(seed, 21, n))
         eigs = spec.eigenvalues
@@ -682,11 +676,9 @@ def _min_or_mirrored_max(fn, lam, r_fb: int, mode: str, samples: int, seed: int)
     taken after the negation) returns its edge, and r_fb = 0, a single
     codeword, returns the spectrum mean.
     """
-    arr = _as_spectrum(lam)
+    arr = _as_spectrum(lam, samples, 2)
     if r_fb < 0:
         raise ValueError(f"r_fb must be >= 0, got {r_fb}")
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     sign = 1.0 if mode == "min" else -1.0
@@ -732,13 +724,11 @@ def quantile_x_n(lam, p: float, seed: int, samples: int = 20000) -> float:
     monotone in x, so the search is stable even for p around 2^(-200).
     A degenerate spectrum (_is_degenerate) raises ValueError.
     """
-    arr = _as_spectrum(lam)
+    arr = _as_spectrum(lam, samples, 2)
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must be in (0, 1), got {p!r}")
     if _is_degenerate(float(arr.min()), float(arr.max())):
         raise ValueError("spectrum is degenerate; the quantile is not defined")
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
     return _level_bisect(arr, _panel(arr, samples, seed, 13), math.log(p), se_stop=True)
 
 

@@ -104,16 +104,22 @@ def cgf(ctx: RateContext, alpha: float) -> float:
     return -mp_integrate(law, lambda lam: np.log1p(-alpha * (lam - x)), ctx.cfg)
 
 
+def _interior(ctx: RateContext, alpha: float) -> float:
+    """alpha as a float, refused unless strictly inside the tilt interval."""
+    lo, hi = ctx.interval()
+    alpha = float(alpha)
+    if not (lo < alpha < hi):
+        raise ValueError(f"alpha={alpha!r} outside the open interval ({lo:.6g}, {hi:.6g})")
+    return alpha
+
+
 def cgf_prime(ctx: RateContext, alpha: float) -> float:
     """Derivative d cgf / d alpha = integral (lam - x)/(1 - alpha(lam - x)) d mu.
 
     Quadrature value, cross-checked against the algebraic route wherever
     that route's real branch applies; a disagreement beyond 1e-9 raises.
     """
-    lo, hi = ctx.interval()
-    alpha = float(alpha)
-    if not (lo < alpha < hi):
-        raise ValueError(f"alpha={alpha!r} outside the open interval ({lo:.6g}, {hi:.6g})")
+    alpha = _interior(ctx, alpha)
     law, x = ctx.law, ctx.x
     quad = mp_integrate(law, lambda lam: (lam - x) / (1.0 - alpha * (lam - x)), ctx.cfg)
     d = 1.0 + alpha * x
@@ -178,10 +184,7 @@ def cgf_prime_closed(ctx: RateContext, alpha: float) -> float:
     Valid where the kernel's real branch applies: alpha = 0, the removable
     point alpha = -1/x (beta < 1), and interior alpha with 1 + alpha x > 0.
     """
-    lo, hi = ctx.interval()
-    alpha = float(alpha)
-    if not (lo < alpha < hi):
-        raise ValueError(f"alpha={alpha!r} outside the open interval ({lo:.6g}, {hi:.6g})")
+    alpha = _interior(ctx, alpha)
     law, x = ctx.law, ctx.x
     if alpha == 0.0:
         return law.mean - x

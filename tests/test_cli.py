@@ -2,9 +2,11 @@
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -167,6 +169,18 @@ def test_unwritable_output_exits_3(tmp_path):
         assert err
 
 
+def test_a_failed_write_to_stdout_exits_3(monkeypatch):
+    class BrokenPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["asymptotic", "--beta", "1", "--rate", "1"]) == 3
+    assert "Broken pipe" in err.getvalue()
+
+
 def test_numeric_error_exits_4():
     # A valid command line whose computation fails: a one-eigenvalue spectrum
     # never brackets the level, so the tilted estimator raises ReliabilityError;
@@ -182,6 +196,21 @@ def test_budget_refusal_exits_5():
                         "--trials", "100", "--method", "direct"])
     assert code == 5
     assert "budget" in err.lower() or "cdf" in err.lower()
+
+
+@pytest.mark.parametrize("exc, says", [
+    (MemoryError("Unable to allocate 74.5 GiB for an array"), "Unable to allocate 74.5 GiB for an array"),
+    (MemoryError(), "out of memory"),
+])
+def test_a_refused_allocation_exits_5(exc, says, monkeypatch):
+    # Raised, not allocated: a machine that overcommits would try to fill the array.
+    def refuse(*args):
+        raise exc
+
+    monkeypatch.setattr("fblimits.cli.ldp_rate_estimate", refuse)
+    code, out, err = run(["ldp", "--beta", "1", "--x", "0.5", "--sizes", "100000"])
+    assert (code, out) == (5, "")
+    assert err == f"error: {says}\n"
 
 
 @pytest.mark.parametrize("method", ("spectral", "direct"))
@@ -473,6 +502,16 @@ def test_codebook_save_load_save_round_trip(tmp_path):
     assert loaded.kind == cb.kind and loaded.seed == cb.seed
     save_codebook(loaded, str(second))
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_saved_codebook_rows_hold_the_complex128_values(tmp_path):
+    # A complex64 codebook is widened before its rows are split into re, im.
+    cb = random_codebook(3, 4, seed=2)
+    narrow = dataclasses.replace(cb, vectors=cb.vectors.astype(np.complex64)[:, ::-1])
+    path = tmp_path / "narrow.txt"
+    save_codebook(narrow, str(path))
+    rows = np.loadtxt(path, comments="#")
+    assert np.array_equal(rows[:, 0::2] + 1j * rows[:, 1::2], narrow.vectors.astype(np.complex128))
 
 
 def test_codebook_loader_rejects_garbage(tmp_path):

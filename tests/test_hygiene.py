@@ -204,3 +204,34 @@ def test_public_names_are_pinned():
     assert sorted(fblimits.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(fblimits, name) is not None
+
+
+def _compare_homes(tree: ast.Module, name: str) -> list[str]:
+    """Functions holding a comparison that names `name`, one entry per comparison."""
+    homes = []
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Compare) and any(
+                        isinstance(n, ast.Name) and n.id == name for n in ast.walk(node)):
+                    homes.append(func.name)
+    return homes
+
+
+def test_each_refusal_has_one_home():
+    # montecarlo._hold owns the array cap, montecarlo._as_spectrum the sample
+    # count, ratefn._interior the open tilt interval, and cli.main's one try
+    # maps every I/O failure to exit 3.
+    text = "".join(p.read_text() for p in sorted(SRC.glob("*.py")))
+    for phrase in ("cap of", "samples must be >=", "outside the open interval"):
+        assert text.count(phrase) == 1, phrase
+    assert (SRC / "cli.py").read_text().count("except OSError") == 1
+    montecarlo = ast.parse((SRC / "montecarlo.py").read_text())
+    assert _compare_homes(montecarlo, "_MAX_ENTRIES") == ["_hold"]
+    assert _compare_homes(montecarlo, "samples") == ["_as_spectrum"]
+
+
+def test_compare_homes_sees_nested_comparisons():
+    tree = ast.parse("def f(a):\n    return [b for b in a if b < cap]\n"
+                     "def g(cap):\n    if min(cap, 2) == 1 or cap:\n        return cap\n")
+    assert _compare_homes(tree, "cap") == ["f", "g"]

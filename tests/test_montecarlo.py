@@ -820,6 +820,14 @@ def test_ldp_domain_errors():
         ldp_rate_estimate(1.0, 0.5, [0], 1000, seed=0)
 
 
+def test_ldp_checks_every_size_before_its_first_draw(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(montecarlo, "sample_spectrum", lambda *args: drawn.append(args))
+    with pytest.raises(ValueError, match="sizes must be >= 1, got 0"):
+        ldp_rate_estimate(1.0, 0.5, [50, 0], 2000, seed=0)
+    assert drawn == []
+
+
 # ---------------------------------------------------------------------------
 # selected extremes through the CDF
 
