@@ -68,13 +68,7 @@ class RunRecord:
         return RunRecord(**data)
 
     def to_csv(self) -> str:
-        head = {
-            "command": self.command,
-            "params": self.params,
-            "seed": self.seed,
-            "version": self.version,
-            "duration_s": self.duration_s,
-        }
+        head = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "payload"}
         buf = io.StringIO()
         buf.write("# fblimits-record " + json.dumps(head, sort_keys=True) + "\n")
         rows = self.payload.get("rows")

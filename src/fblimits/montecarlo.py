@@ -27,7 +27,8 @@ import math
 import numpy as np
 
 from ._brent import brentq
-from .spectra import _SEED_MASK, _channel, _clipped_eigs, _complex_normal, sample_spectrum, mp_law
+from .spectra import _SEED_MASK, _channel, _check_shape, _clipped_eigs, _complex_normal
+from .spectra import mp_law, sample_spectrum
 
 __all__ = [
     "Codebook",
@@ -228,10 +229,10 @@ def design_codebook(n: int, size: int, seed: int, iterations: int = 800) -> Code
     _hold(8 * size * size, f"the Gram of 8 restarts x {size}^2 codeword pairs")
     vectors = random_codebook(n, size, seed).vectors
     if size > 1:
-        inits = [vectors] + [_isotropic_rows(_rng(seed, 30 + j), size, n) for j in range(1, 8)]
-        if size <= n:
-            q, _ = np.linalg.qr(_complex_normal(_rng(seed, 29), (n, n)))
-            inits[1] = q[:size].copy()
+        inits = [vectors]
+        if size <= n:  # the frame takes restart 1's place, so role 31 is never drawn
+            inits.append(np.linalg.qr(_complex_normal(_rng(seed, 29), (n, n)))[0][:size])
+        inits += [_isotropic_rows(_rng(seed, 30 + j), size, n) for j in range(len(inits), 8)]
         vectors = _design_descent(np.stack(inits), iterations)
     return Codebook(n=n, vectors=vectors, kind="designed", seed=int(seed))
 
@@ -252,14 +253,18 @@ class SimConfig:
     mode: str = "min"
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"n and m must be >= 1, got n={self.n}, m={self.m}")
-        if self.r_fb < 0:
-            raise ValueError(f"r_fb must be >= 0, got {self.r_fb}")
+        _check_shape(self.n, self.m)
+        _check_selection(self.r_fb, self.mode)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.mode not in ("min", "max"):
-            raise ValueError(f"mode must be 'min' or 'max', got {self.mode!r}")
+
+
+def _check_selection(r_fb: int, mode: str) -> None:
+    """Refuse a negative feedback depth or a mode other than 'min' and 'max'."""
+    if r_fb < 0:
+        raise ValueError(f"r_fb must be >= 0, got {r_fb}")
+    if mode not in ("min", "max"):
+        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -353,16 +358,13 @@ def simulate_c_spectral(cfg: SimConfig, threads: int = 1) -> Estimate:
     """
     k, _ = _check_budget(cfg, direct=False)
     pick = np.min if cfg.mode == "min" else np.max
-    factor = cfg.m / cfg.n
-
-    def worker(t: int) -> float:
+    vals = np.empty(cfg.trials)
+    for t in range(cfg.trials):
         rng = _rng(cfg.seed, 2, t)
         lam = _clipped_eigs(_channel(rng, cfg.n, cfg.m))
         y = _exponentials(rng, (k, cfg.n))
-        ratios = (y @ lam) / y.sum(axis=1)
-        return factor * float(pick(ratios))
-
-    return _estimate_from(np.array([worker(t) for t in range(cfg.trials)]))
+        vals[t] = pick((y @ lam) / y.sum(axis=1))
+    return _estimate_from(cfg.m / cfg.n * vals)
 
 
 def simulate_c_cdf(cfg: SimConfig, samples: int = 20000, threads: int = 1) -> Estimate:
@@ -375,20 +377,22 @@ def simulate_c_cdf(cfg: SimConfig, samples: int = 20000, threads: int = 1) -> Es
     integration bias controlled by `samples` and the grid refinement.
     `threads` is accepted and ignored: trials run in order on this thread.
     """
-    factor = cfg.m / cfg.n
-
-    def worker(t: int) -> float:
-        spec = sample_spectrum(cfg.n, cfg.m, _child_seed(cfg.seed, 3, t))
-        val = c_rand_via_cdf(
-            spec.eigenvalues, cfg.r_fb, cfg.mode, samples, _child_seed(cfg.seed, 4, t)
-        )
-        return factor * val
-
-    return _estimate_from(np.array([worker(t) for t in range(cfg.trials)]))
+    _check_samples(samples, 2)
+    vals = np.empty(cfg.trials)
+    for t in range(cfg.trials):
+        lam = sample_spectrum(cfg.n, cfg.m, _child_seed(cfg.seed, 3, t)).eigenvalues
+        vals[t] = c_rand_via_cdf(lam, cfg.r_fb, cfg.mode, samples, _child_seed(cfg.seed, 4, t))
+    return _estimate_from(cfg.m / cfg.n * vals)
 
 
 # ---------------------------------------------------------------------------
 # conditional CDF of the weighted exponential ratio
+
+
+def _check_samples(samples: int, least: int) -> None:
+    """Refuse fewer than `least` samples: 1 for plain Monte Carlo, 2 for the tilted routes."""
+    if samples < least:
+        raise ValueError(f"samples must be >= {least}, got {samples}")
 
 
 def _as_spectrum(lam, samples: int, least: int) -> np.ndarray:
@@ -396,8 +400,7 @@ def _as_spectrum(lam, samples: int, least: int) -> np.ndarray:
     arr = np.asarray(lam, dtype=float).ravel()
     if arr.size < 1 or not np.isfinite(arr).all():
         raise ValueError("spectrum must be a non-empty finite array")
-    if samples < least:
-        raise ValueError(f"samples must be >= {least}, got {samples}")
+    _check_samples(samples, least)
     return arr
 
 
@@ -406,14 +409,12 @@ def conditional_cdf_mc(lam, x: float, samples: int, seed: int) -> float:
     arr = _as_spectrum(lam, samples, 1)
     coeffs = arr - float(x)
     rng = _rng(seed, 10)
+    total = int(samples)
+    chunk = max(1, min(total, 8_000_000 // arr.size))
     hits = 0
-    remaining = int(samples)
-    chunk = max(1, min(remaining, 8_000_000 // max(1, arr.size)))
-    while remaining > 0:
-        take = min(chunk, remaining)
-        s = _exponentials(rng, (take, arr.size)) @ coeffs
+    for start in range(0, total, chunk):
+        s = _exponentials(rng, (min(chunk, total - start), arr.size)) @ coeffs
         hits += int(np.count_nonzero(s <= 0.0))
-        remaining -= take
     return hits / samples
 
 
@@ -545,6 +546,7 @@ def ldp_rate_estimate(beta: float, x: float, n_list, samples: int, seed: int) ->
     for n in sizes:
         if n < 1:
             raise ValueError(f"sizes must be >= 1, got {n}")
+    _check_samples(samples, 2)
     out: list[tuple[int, float]] = []
     for n in sizes:
         m = max(1, round(n / beta))
@@ -677,10 +679,7 @@ def _min_or_mirrored_max(fn, lam, r_fb: int, mode: str, samples: int, seed: int)
     codeword, returns the spectrum mean.
     """
     arr = _as_spectrum(lam, samples, 2)
-    if r_fb < 0:
-        raise ValueError(f"r_fb must be >= 0, got {r_fb}")
-    if mode not in ("min", "max"):
-        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+    _check_selection(r_fb, mode)
     sign = 1.0 if mode == "min" else -1.0
     arr = sign * arr
     lmin = float(arr.min())

@@ -173,8 +173,12 @@ def shannon_integral(z: float, law: MpLaw) -> float:
     f = f_kernel(z, law)
     a = 1.0 + z - 0.25 * f
     b = 1.0 + z * beta - 0.25 * f
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"z={z!r} outside the domain of the closed form")
+    # a = (p_a + S)/2 cancels where p_a < 0 (b likewise); S^2 - p_a^2 = 4 beta z, S^2 - p_b^2 = 4 z.
+    p_a, p_b = 1.0 + (1.0 - beta) * z, 1.0 + (beta - 1.0) * z
+    if min(p_a, p_b) < 0.0:
+        s = math.sqrt(1.0 + law.lambda_minus * z) * math.sqrt(1.0 + law.lambda_plus * z)
+        a = a if p_a >= 0.0 else 2.0 * beta * z / (s - p_a)
+        b = b if p_b >= 0.0 else 2.0 * z / (s - p_b)
     return math.log(a) + math.log(b) / beta - f / (4.0 * z * beta)
 
 
@@ -248,8 +252,6 @@ def rate_zero(ctx: RateContext) -> LegendrePoint:
     grid noise.
     """
     alpha, value_closed = _saddle(ctx)
-    if alpha == 0.0:
-        return LegendrePoint(alpha_star=0.0, value=0.0, t=0.0, boundary_hit=False)
     value_quad = -cgf(ctx, alpha)
     miss = abs(value_quad - value_closed)
     tol = 1e-6

@@ -169,14 +169,19 @@ def sample_spectrum(n: int, m: int, seed: int) -> SpectrumSample:
     A CN(0,1) entry is built from two real N(0, 1/2) draws.  Exactly
     max(0, n - m) eigenvalues are zero up to numerical rounding.
     """
-    if n < 1 or m < 1:
-        raise ValueError(f"n and m must be >= 1, got n={n}, m={m}")
+    _check_shape(n, m)
     h = _channel(np.random.default_rng(int(seed) & _SEED_MASK), n, m)
     try:
         eigs = _clipped_eigs(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise EigenSolverError(f"eigvalsh failed for n={n}, m={m}, seed={seed}: {exc}") from exc
     return SpectrumSample(n=n, m=m, eigenvalues=eigs, seed=int(seed))
+
+
+def _check_shape(n: int, m: int) -> None:
+    """Refuse a channel with no rows or no columns."""
+    if n < 1 or m < 1:
+        raise ValueError(f"n and m must be >= 1, got n={n}, m={m}")
 
 
 def _complex_normal(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:

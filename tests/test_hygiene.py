@@ -219,19 +219,64 @@ def _compare_homes(tree: ast.Module, name: str) -> list[str]:
 
 
 def test_each_refusal_has_one_home():
-    # montecarlo._hold owns the array cap, montecarlo._as_spectrum the sample
-    # count, ratefn._interior the open tilt interval, and cli.main's one try
-    # maps every I/O failure to exit 3.
+    # montecarlo._hold owns the array cap, montecarlo._check_samples the
+    # sample count, ratefn._interior the open tilt interval, and cli.main's
+    # one try maps every I/O failure to exit 3.
     text = "".join(p.read_text() for p in sorted(SRC.glob("*.py")))
     for phrase in ("cap of", "samples must be >=", "outside the open interval"):
         assert text.count(phrase) == 1, phrase
     assert (SRC / "cli.py").read_text().count("except OSError") == 1
     montecarlo = ast.parse((SRC / "montecarlo.py").read_text())
     assert _compare_homes(montecarlo, "_MAX_ENTRIES") == ["_hold"]
-    assert _compare_homes(montecarlo, "samples") == ["_as_spectrum"]
+    assert _compare_homes(montecarlo, "samples") == ["_check_samples"]
 
 
 def test_compare_homes_sees_nested_comparisons():
     tree = ast.parse("def f(a):\n    return [b for b in a if b < cap]\n"
                      "def g(cap):\n    if min(cap, 2) == 1 or cap:\n        return cap\n")
     assert _compare_homes(tree, "cap") == ["f", "g"]
+
+
+def _message(node: ast.expr) -> str:
+    """A message's constant parts, each formatted field written as {}."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+    return ""
+
+
+def _repeated_refusals(trees: dict[str, ast.Module]) -> dict[str, list[str]]:
+    """Texts of `raise E(msg)` and `parser.error(msg)` that occur more than once, with their sites."""
+    sites: dict[str, list[str]] = {}
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                call = node.exc
+            elif isinstance(node, ast.Call) and ast.unparse(node.func).endswith("parser.error"):
+                call = node
+            else:
+                continue
+            text = _message(call.args[0]) if call.args else ""
+            if text:
+                sites.setdefault(text, []).append(f"{file} line {node.lineno}")
+    return {text: sorted(where) for text, where in sites.items() if len(where) > 1}
+
+
+def test_each_refusal_text_has_one_home():
+    # A rule checked in two places is written in two places; give it one helper.
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert _repeated_refusals(trees) == {}
+
+
+def test_refusal_check_sees_repeated_texts():
+    trees = {
+        "a.py": ast.parse("raise ValueError(f'n={n} bad, got {m!r}')\nargs.parser.error('no ' 'flag')\n"
+                          "raise ValueError(msg)\nraise\nlog.error('no flag')\n"),
+        "b.py": ast.parse("if x:\n    raise KeyError(f'n={k} bad, got {j}') from exc\n"
+                          "parser.error('no flag')\nraise ValueError('once')\n"),
+    }
+    assert _repeated_refusals(trees) == {
+        "n={} bad, got {}": ["a.py line 1", "b.py line 2"],
+        "no flag": ["a.py line 2", "b.py line 3"],
+    }

@@ -828,6 +828,16 @@ def test_ldp_checks_every_size_before_its_first_draw(monkeypatch):
     assert drawn == []
 
 
+def test_a_bad_sample_count_is_refused_before_the_first_draw(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(montecarlo, "sample_spectrum", lambda *args: drawn.append(args))
+    with pytest.raises(ValueError, match="samples must be >= 2, got 1"):
+        ldp_rate_estimate(1.0, 0.5, [50], 1, seed=0)
+    with pytest.raises(ValueError, match="samples must be >= 2, got 1"):
+        simulate_c_cdf(SimConfig(50, 25, 50, 3, 0), samples=1)
+    assert drawn == []
+
+
 # ---------------------------------------------------------------------------
 # selected extremes through the CDF
 

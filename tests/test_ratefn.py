@@ -195,6 +195,18 @@ def test_transform_identities_negative_z():
     assert shannon_integral(z, law) == pytest.approx(shan_quad, abs=1e-8)
 
 
+@pytest.mark.parametrize("beta, z, expected", [
+    # Recorded once from the closed form in 80-digit arithmetic.  In double
+    # precision, a = (p_a + S)/2 cancelled at the first two points (a raise,
+    # then 2.2% low) and b = (p_b + S)/2 at the third (575% high).
+    (91180033.90845662, 1e12, 5.0405078442087123e-7),
+    (1e8, 1e12, 4.6051701854880914e-7),
+    (1e-8, 1e14, 32.23619129691665),
+])
+def test_shannon_integral_holds_where_its_terms_would_cancel(beta, z, expected):
+    assert shannon_integral(z, mp_law(beta)) == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # optimal tilt
 
