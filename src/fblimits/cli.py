@@ -28,15 +28,16 @@ import time
 import numpy as np
 
 from . import __version__
-from .spectra import EigenSolverError, QuadratureError, mp_law
+from .spectra import EigenSolverError, QuadratureError
 from .ratefn import ConsistencyError, RateContext, rate_zero
-from .limits import asymptotic_limits, throughput
+from .limits import _checked_level, thresholds, throughput
 from .montecarlo import (
     BudgetError,
     Codebook,
     ReliabilityError,
     SimConfig,
     _check_budget,
+    _ldp_law,
     design_codebook,
     ldp_rate_estimate,
     random_codebook,
@@ -155,28 +156,22 @@ def load_codebook(path: str) -> Codebook:
 # subcommands
 
 
-def _limit_fields(beta: float, rate: float, sigma2: float | None) -> dict:
-    res = asymptotic_limits(beta, rate)
-    out = {
-        "beta": beta,
-        "r": rate,
-        "x_minus": res.x_minus,
-        "x_plus": res.x_plus,
-        "c_min": res.c_min_limit,
-        "c_max": res.c_max_limit,
-        "r_min": res.r_min,
-        "r_max": res.r_max,
-        "branch_minus": res.branch_minus,
-        "branch_plus": res.branch_plus,
-    }
-    if sigma2 is not None:
-        out["throughput_cdma_min"] = throughput(res.c_min_limit, sigma2, "cdma_min")
-        out["throughput_mimo_max"] = throughput(res.c_max_limit, sigma2, "mimo_max")
-    return out
+# Every limits row keeps this column order, whichever sides it reports.
+_COLUMNS = ("beta", "r", "x_minus", "x_plus", "c_min", "c_max", "r_min", "r_max", "branch_minus",
+            "branch_plus", "throughput_cdma_min", "throughput_mimo_max")
 
 
-_MINUS_COLS = ("x_minus", "c_min", "branch_minus", "throughput_cdma_min")
-_PLUS_COLS = ("x_plus", "c_max", "branch_plus", "throughput_mimo_max")
+def _limit_fields(beta: float, rate: float, sigma2: float | None, mode: str = "both") -> dict:
+    """One row of limits; a one-sided mode solves and checks only its side."""
+    r_min, r_max = thresholds(beta)
+    fields = {"beta": beta, "r": rate, "r_min": r_min, "r_max": r_max}
+    for m, s, t in (("min", "minus", "cdma_min"), ("max", "plus", "mimo_max")):
+        if mode in (m, "both"):
+            x, branch = _checked_level(beta, rate, s)
+            fields.update({f"x_{s}": x, f"c_{m}": x / beta, f"branch_{s}": branch})
+            if sigma2 is not None:
+                fields[f"throughput_{t}"] = throughput(x / beta, sigma2, t)
+    return {k: fields[k] for k in _COLUMNS if k in fields}
 
 
 def _cmd_asymptotic(args, parser: argparse.ArgumentParser) -> dict:
@@ -192,16 +187,7 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> dict:
         rates = [float(r) for r in np.linspace(args.rate_min, args.rate_max, args.points)]
     else:
         parser.error("give either --rates or both --rate-min and --rate-max")
-    drop: tuple[str, ...] = ()
-    if args.mode == "min":
-        drop = _PLUS_COLS
-    elif args.mode == "max":
-        drop = _MINUS_COLS
-    rows = []
-    for r in rates:
-        fields = _limit_fields(args.beta, r, args.sigma2)
-        rows.append({k: v for k, v in fields.items() if k not in drop})
-    return {"rows": rows}
+    return {"rows": [_limit_fields(args.beta, r, args.sigma2, args.mode) for r in rates]}
 
 
 def _cmd_simulate(args, parser: argparse.ArgumentParser) -> dict:
@@ -215,6 +201,10 @@ def _cmd_simulate(args, parser: argparse.ArgumentParser) -> dict:
         seed=args.seed,
         mode=args.mode,
     )
+    beta = cfg.n / cfg.m
+    rate = cfg.r_fb / cfg.n
+    # The limit is cheap and can fail; check it before any trial runs.
+    limit = _checked_level(beta, rate, "minus" if cfg.mode == "min" else "plus")[0] / beta
     codebook = None
     if args.codebook == "designed":
         # The budget is checked before 2^r_fb codewords are designed.
@@ -225,11 +215,6 @@ def _cmd_simulate(args, parser: argparse.ArgumentParser) -> dict:
         est = simulate_c_spectral(cfg)
     else:
         est = simulate_c_cdf(cfg, samples=args.samples)
-
-    beta = cfg.n / cfg.m
-    rate = cfg.r_fb / cfg.n
-    res = asymptotic_limits(beta, rate)
-    limit = res.c_min_limit if cfg.mode == "min" else res.c_max_limit
     payload = {
         "mean": est.mean,
         "stderr": est.stderr,
@@ -260,12 +245,10 @@ def _cmd_design(args, parser: argparse.ArgumentParser) -> dict:
 
 
 def _cmd_ldp(args, parser: argparse.ArgumentParser) -> dict:
-    law = mp_law(args.beta)
-    if not (law.lambda_t_minus < args.x < law.lambda_plus) or args.x == 1.0:
-        parser.error(
-            f"--x must lie in ({law.lambda_t_minus:.6g}, {law.lambda_plus:.6g}) "
-            "and away from the mean at 1"
-        )
+    try:
+        law = _ldp_law(args.beta, args.x)
+    except ValueError as exc:
+        parser.error(str(exc))
     limit = rate_zero(RateContext(law=law, x=args.x)).value
     pairs = ldp_rate_estimate(args.beta, args.x, args.sizes, args.samples, args.seed)
     rows = []

@@ -160,30 +160,28 @@ def solve_x_by_rate(beta: float, r: float, side: str) -> float:
     return edge - s * math.exp(w)
 
 
-def asymptotic_limits(beta: float, r: float) -> AsymptoticResult:
-    """Solve both levels and scale them into performance limits.
+def _checked_level(beta: float, r: float, side: str) -> tuple[float, str]:
+    """Level and branch on one side, substituted back into the rate at zero.
 
-    Each level is substituted back into the rate at zero; a residual beyond
-    1e-8 + |alpha*| ulp(x) raises ConsistencyError.  The rate's slope in x is
-    the optimal tilt alpha*, so rounding x to a double alone moves the rate
-    by up to |alpha*| ulp(x), about 1e-7 at r = 28.
+    A residual beyond 1e-8 + |alpha*| ulp(x) raises ConsistencyError.  The
+    rate's slope in x is the optimal tilt alpha*, so rounding x to a double
+    alone moves the rate by up to |alpha*| ulp(x), about 1e-7 at r = 28.
     """
-    x_minus, branch_minus = solve_x_minus(beta, r)
-    x_plus, branch_plus = solve_x_plus(beta, r)
-    r_min, r_max = thresholds(beta)
-    law = mp_law(beta)
-    target = r * _LN2
-
-    def residual(x: float) -> tuple[float, float]:
-        point = rate_zero(RateContext(law, x))
-        return point.value - target, 1e-8 + abs(point.alpha_star) * math.ulp(x)
-
-    (res_minus, tol_minus), (res_plus, tol_plus) = residual(x_minus), residual(x_plus)
-    if abs(res_minus) > tol_minus or abs(res_plus) > tol_plus:
+    x, branch = (solve_x_minus if side == "minus" else solve_x_plus)(beta, r)
+    point = rate_zero(RateContext(mp_law(beta), x))
+    residual = point.value - r * _LN2
+    if abs(residual) > 1e-8 + abs(point.alpha_star) * math.ulp(x):
         raise ConsistencyError(
-            f"defining-equation residuals too large at beta={beta}, r={r}: "
-            f"minus {res_minus:.3e}, plus {res_plus:.3e}"
+            f"defining-equation residuals too large at beta={beta}, r={r}: {side} {residual:.3e}"
         )
+    return x, branch
+
+
+def asymptotic_limits(beta: float, r: float) -> AsymptoticResult:
+    """Solve and check both levels, lower first, and scale them into limits."""
+    x_minus, branch_minus = _checked_level(beta, r, "minus")
+    x_plus, branch_plus = _checked_level(beta, r, "plus")
+    r_min, r_max = thresholds(beta)
     return AsymptoticResult(
         beta=beta,
         r=r,

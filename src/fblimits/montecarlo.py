@@ -28,7 +28,7 @@ import numpy as np
 
 from ._brent import brentq
 from .spectra import _SEED_MASK, _channel, _check_shape, _clipped_eigs, _complex_normal
-from .spectra import mp_law, sample_spectrum
+from .spectra import MpLaw, mp_law, sample_spectrum
 
 __all__ = [
     "Codebook",
@@ -528,6 +528,17 @@ def conditional_cdf_tilted(lam, x: float, samples: int, seed: int) -> TiltedCdfR
     return TiltedCdfResult(x=x, log_prob=min(log_p, 0.0), ess=ess, gamma=gamma)
 
 
+def _ldp_law(beta: float, x: float) -> MpLaw:
+    """The law at beta, once x lies inside its support and away from the mean 1."""
+    law = mp_law(beta)
+    if not (law.lambda_t_minus < x < law.lambda_plus) or x == 1.0:
+        raise ValueError(
+            f"x={x!r} must lie in ({law.lambda_t_minus}, {law.lambda_plus}) "
+            "and away from the mean at 1"
+        )
+    return law
+
+
 def ldp_rate_estimate(beta: float, x: float, n_list, samples: int, seed: int) -> list[tuple[int, float]]:
     """Empirical decay rates -log mu_n / n along a list of sizes.
 
@@ -536,12 +547,7 @@ def ldp_rate_estimate(beta: float, x: float, n_list, samples: int, seed: int) ->
     below the mean probe the lower tail; levels above it are handled by
     negating the spectrum, which swaps the tails.
     """
-    law = mp_law(beta)
-    if not (law.lambda_t_minus < x < law.lambda_plus) or x == 1.0:
-        raise ValueError(
-            f"x={x!r} must lie in ({law.lambda_t_minus}, {law.lambda_plus}) "
-            "and away from the mean at 1"
-        )
+    _ldp_law(beta, x)
     sizes = [int(n) for n in n_list]
     for n in sizes:
         if n < 1:

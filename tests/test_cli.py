@@ -6,12 +6,23 @@ import dataclasses
 import io
 import json
 import math
+import pathlib
+import re
+import shlex
 import sys
 
 import numpy as np
 import pytest
 
-from fblimits import SimConfig, random_codebook, simulate_c_spectral
+from fblimits import (
+    SimConfig,
+    asymptotic_limits,
+    limits,
+    random_codebook,
+    simulate_c_spectral,
+    solve_x_minus,
+    solve_x_plus,
+)
 from fblimits.cli import RunRecord, build_parser, load_codebook, main, save_codebook
 
 
@@ -405,6 +416,64 @@ def test_sweep_csv_round_trip():
     assert rec.payload["rows"][0]["r_min"] is None
 
 
+SWEEP_HEADERS = {
+    ("min", None): "beta,r,x_minus,c_min,r_min,r_max,branch_minus",
+    ("min", "0.1"): "beta,r,x_minus,c_min,r_min,r_max,branch_minus,throughput_cdma_min",
+    ("max", None): "beta,r,x_plus,c_max,r_min,r_max,branch_plus",
+    ("max", "0.1"): "beta,r,x_plus,c_max,r_min,r_max,branch_plus,throughput_mimo_max",
+    ("both", None): "beta,r,x_minus,x_plus,c_min,c_max,r_min,r_max,branch_minus,branch_plus",
+    ("both", "0.1"): "beta,r,x_minus,x_plus,c_min,c_max,r_min,r_max,branch_minus,branch_plus,"
+                     "throughput_cdma_min,throughput_mimo_max",
+}
+
+
+@pytest.mark.parametrize("mode, sigma2", SWEEP_HEADERS)
+def test_sweep_csv_header_keeps_its_column_order(mode, sigma2):
+    argv = ["sweep", "--beta", "1", "--rates", "0.5", "--mode", mode, "--format", "csv"]
+    code, out, _ = run(argv + (["--sigma2", sigma2] if sigma2 else []))
+    assert code == 0
+    assert out.splitlines()[1] == SWEEP_HEADERS[mode, sigma2]
+
+
+def test_one_sided_commands_report_the_fields_of_asymptotic_limits():
+    res = asymptotic_limits(2.0, 0.5)
+    for mode, side, c in (("min", "minus", res.c_min_limit), ("max", "plus", res.c_max_limit)):
+        _, out, _ = run(["sweep", "--beta", "2", "--rates", "0.5", "--mode", mode])
+        (row,) = RunRecord.from_json(out).payload["rows"]
+        assert (row[f"x_{side}"], row[f"c_{mode}"], row[f"branch_{side}"]) == (
+            getattr(res, f"x_{side}"), c, getattr(res, f"branch_{side}"))
+        assert (row["r_min"], row["r_max"]) == (res.r_min, res.r_max)
+        _, out, _ = run(["simulate", "--n", "4", "--m", "2", "--r-fb", "2", "--trials", "3",
+                         "--method", "spectral", "--mode", mode])
+        assert RunRecord.from_json(out).payload["limit"] == c
+
+
+def test_one_sided_commands_solve_only_the_side_they_report():
+    # At beta = 1, r = 60 the upper level rounds onto lambda_+ = 4; at
+    # beta = 50, r = 22 the lower level underflows to 0.  Neither side that
+    # a command drops can fail it.
+    code, out, _ = run(["sweep", "--beta", "1", "--rates", "60", "--mode", "min"])
+    assert code == 0
+    (row,) = RunRecord.from_json(out).payload["rows"]
+    assert (row["x_minus"], row["branch_minus"]) == solve_x_minus(1.0, 60.0)
+    code, _, err = run(["sweep", "--beta", "1", "--rates", "60", "--mode", "max"])
+    assert code == 4 and "x=4.0" in err
+    code, out, _ = run(["simulate", "--n", "50", "--m", "1", "--r-fb", "1100", "--method", "cdf",
+                        "--mode", "max", "--trials", "1", "--samples", "2000"])
+    assert code == 0
+    assert RunRecord.from_json(out).payload["limit"] == solve_x_plus(50.0, 22.0)[0] / 50.0
+
+
+def test_a_moved_upper_level_fails_only_the_commands_that_report_it(monkeypatch):
+    solve = limits.solve_x_plus
+    monkeypatch.setattr(limits, "solve_x_plus",
+                        lambda beta, r: (solve(beta, r)[0] * (1.0 + 1e-7), "moved"))
+    for mode, code in (("min", 0), ("max", 4), ("both", 4)):
+        got, _, err = run(["sweep", "--beta", "1", "--rates", "1", "--mode", mode])
+        assert got == code
+        assert ("residuals too large" in err and "plus" in err) == (code == 4)
+
+
 # ---------------------------------------------------------------------------
 # simulate command
 
@@ -450,6 +519,16 @@ def test_simulate_designed_codebook_reports_geometry():
     assert code == 0
     p = RunRecord.from_json(out).payload
     assert p["codebook_min_chordal"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_simulate_checks_its_limit_before_the_trial(monkeypatch):
+    # beta = 50, r = 22: the lower level x_r^- underflows to 0, so no trial runs.
+    called = []
+    monkeypatch.setattr("fblimits.cli.simulate_c_cdf", lambda *args, **kw: called.append(args))
+    code, out, err = run(["simulate", "--n", "50", "--m", "1", "--r-fb", "1100",
+                          "--method", "cdf", "--mode", "min", "--trials", "1"])
+    assert (code, out, called) == (4, "", [])
+    assert "x=0.0" in err
 
 
 # ---------------------------------------------------------------------------
@@ -547,3 +626,20 @@ def test_codebook_preserves_metadata_through_file(tmp_path):
     assert cb.seed == 6
     assert cb.min_chordal is not None
     assert np.abs(np.linalg.norm(cb.vectors, axis=1) - 1.0).max() <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# README examples
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_limit_examples_run():
+    # The deterministic examples take milliseconds; the randomized ones are
+    # covered by the tests of their subcommands.
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    argvs = [shlex.split(line)[1:] for block in blocks for line in block.splitlines()
+             if line.startswith(("fblimits asymptotic ", "fblimits sweep "))]
+    assert len(argvs) >= 4
+    for argv in argvs:
+        assert run(argv)[0] == 0, argv

@@ -396,16 +396,21 @@ def test_deep_rates_pass_the_residual_check(beta):
         assert asymptotic_limits(beta, r).branch_plus == "explicit"
 
 
-@pytest.mark.parametrize("r, moved", ((1.0, 1e-7), (28.0, -1e-9)))
-def test_residual_check_catches_a_moved_level(monkeypatch, r, moved):
-    solve = limits.solve_x_plus
+@pytest.mark.parametrize(
+    "r, moved, side",
+    ((1.0, 1e-7, "plus"), (28.0, -1e-9, "plus"), (1.0, 1e-7, "minus"), (28.0, -1e-7, "minus")),
+    # Near the lower edge the rate moves by about the relative shift of x alone.
+    ids=("1.0-1e-07", "28.0--1e-09", "minus-1.0-1e-07", "minus-28.0--1e-07"),
+)
+def test_residual_check_catches_a_moved_level(monkeypatch, r, moved, side):
+    solve = getattr(limits, f"solve_x_{side}")
 
     def nudged(beta, r):
         x, branch = solve(beta, r)
         return x * (1.0 + moved), branch
 
-    monkeypatch.setattr(limits, "solve_x_plus", nudged)
-    with pytest.raises(ConsistencyError, match="residuals too large"):
+    monkeypatch.setattr(limits, f"solve_x_{side}", nudged)
+    with pytest.raises(ConsistencyError, match=f"residuals too large.*{side}"):
         asymptotic_limits(1.0, r)
 
 
