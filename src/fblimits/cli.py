@@ -1,12 +1,12 @@
 """Command line front end.
 
-Every subcommand emits a single run record carrying the command name, the
-parameters it actually used, the seed (null for the deterministic
-asymptotic and sweep), the package version, and the wall time, so a result
-file is reproducible on its own.  Records serialize to JSON (default) or
-CSV; CSV keeps the provenance in a leading comment line, and each payload
-cell is a JSON scalar (strings quoted, None as null, floats by repr), so a
-record reads back exactly.
+Every subcommand emits a single run record carrying the command name, every
+parameter of the subcommand (defaults included), the seed (null for the
+deterministic asymptotic and sweep), the package version, and the wall
+time, so a result file is reproducible on its own.  Records serialize to
+JSON (default) or CSV; CSV keeps the provenance in a leading comment line,
+and each payload cell is a JSON scalar (strings quoted, None as null,
+floats by repr), so a record reads back exactly.
 
 Exit codes: 0 success; 2 the command line was refused before any
 computation, by a flag's argparse type (which checks that flag's range) or
@@ -204,7 +204,7 @@ def _cmd_simulate(args, parser: argparse.ArgumentParser) -> dict:
     beta = cfg.n / cfg.m
     rate = cfg.r_fb / cfg.n
     # The limit is cheap and can fail; check it before any trial runs.
-    limit = _checked_level(beta, rate, "minus" if cfg.mode == "min" else "plus")[0] / beta
+    limit = _limit_fields(beta, rate, None, cfg.mode)[f"c_{cfg.mode}"]
     codebook = None
     if args.codebook == "designed":
         # The budget is checked before 2^r_fb codewords are designed.

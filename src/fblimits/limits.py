@@ -64,19 +64,20 @@ def thresholds(beta: float) -> tuple[float | None, float]:
     beta = mp_law(beta).beta  # mp_law validates beta
     root = math.sqrt(beta)
     # One expression on side s; log1p(-sqrt(beta)) is a domain error for beta >= 1.
-    r_min, r_max = (
+    return tuple(
         (s * root - math.log1p(s * root)) / (beta * _LN2) if s > 0.0 or beta < 1.0 else None
         for s in (-1.0, 1.0)
     )
-    return r_min, r_max
 
 
 def _side(law: MpLaw, side: str) -> tuple[float, float]:
-    """Side sign s (-1 for 'minus', +1 for 'plus') and the support edge there."""
+    """Side sign s (-1 for 'minus', +1 for 'plus') and the edge there; the one reader of a name."""
+    if side not in ("minus", "plus"):
+        raise ValueError(f"side must be 'minus' or 'plus', got {side!r}")
     return (-1.0, law.lambda_t_minus) if side == "minus" else (1.0, law.lambda_plus)
 
 
-def _fixed_point(beta: float, r: float, side: str) -> float:
+def _fixed_point(beta: float, r: float, s: float) -> float:
     """Root of x e^(1 - x) = 2^(-beta r), solved in log space.
 
     g(u) = u + 1 - e^u + beta r log 2 with u = log x is strictly monotone on
@@ -87,26 +88,22 @@ def _fixed_point(beta: float, r: float, side: str) -> float:
     def g(u: float) -> float:
         return u + 1.0 - math.exp(u) + shift
 
-    if side == "minus":
-        lo = -shift - 2.0  # g(lo) = -1 - exp(lo): a sign margin rounding cannot flip
-        hi = 0.0
-    else:
-        lo = 0.0
-        hi = 2.0 * math.log1p(math.sqrt(beta))  # u at the upper support edge
+    # Lower: g(lo) = -1 - exp(lo), a sign margin rounding cannot flip; upper: hi is u at lambda_plus.
+    lo, hi = (-shift - 2.0, 0.0) if s < 0.0 else (0.0, 2.0 * math.log1p(math.sqrt(beta)))
     u = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
     return math.exp(u)
 
 
 def _solve_x(beta: float, r: float, side: str) -> tuple[float, str]:
     """Level and branch on one side; the side sign s mirrors the explicit edge branch."""
+    law = mp_law(beta)
     r_min, r_max = thresholds(beta)
     _check_r(r)
-    threshold = r_min if side == "minus" else r_max
+    s, edge = _side(law, side)
+    threshold = r_min if s < 0.0 else r_max
     if threshold is not None and r > threshold:
-        law = mp_law(beta)
-        s, edge = _side(law, side)
         return edge - s * math.exp(_edge_log_moment(law, s) - r * _LN2), "explicit"
-    return _fixed_point(beta, r, side), "fixed_point"
+    return _fixed_point(beta, r, s), "fixed_point"
 
 
 def solve_x_minus(beta: float, r: float) -> tuple[float, str]:
@@ -136,13 +133,11 @@ def solve_x_by_rate(beta: float, r: float, side: str) -> float:
     """
     law = mp_law(beta)
     _check_r(r)
-    if side not in ("minus", "plus"):
-        raise ValueError(f"side must be 'minus' or 'plus', got {side!r}")
+    s, edge = _side(law, side)
     if r == 0.0:
         return 1.0  # the rate vanishes only at the mean, where no bracket changes sign
     target = r * _LN2
     root = math.sqrt(beta)
-    s, edge = _side(law, side)
 
     def value_at(w: float) -> float:
         return rate_zero(RateContext(law, edge - s * math.exp(w))).value - target
@@ -167,13 +162,18 @@ def _checked_level(beta: float, r: float, side: str) -> tuple[float, str]:
     rate's slope in x is the optimal tilt alpha*, so rounding x to a double
     alone moves the rate by up to |alpha*| ulp(x), about 1e-7 at r = 28.
     """
-    x, branch = (solve_x_minus if side == "minus" else solve_x_plus)(beta, r)
-    point = rate_zero(RateContext(mp_law(beta), x))
+    law = mp_law(beta)
+    s, _ = _side(law, side)
+    x, branch = (solve_x_minus if s < 0.0 else solve_x_plus)(beta, r)
+    where = f"at beta={beta}, r={r}: {side}"
+    try:
+        ctx = RateContext(law, x)
+    except ValueError as exc:
+        raise ValueError(f"{where} level: {exc}") from exc
+    point = rate_zero(ctx)
     residual = point.value - r * _LN2
     if abs(residual) > 1e-8 + abs(point.alpha_star) * math.ulp(x):
-        raise ConsistencyError(
-            f"defining-equation residuals too large at beta={beta}, r={r}: {side} {residual:.3e}"
-        )
+        raise ConsistencyError(f"defining-equation residuals too large {where} {residual:.3e}")
     return x, branch
 
 

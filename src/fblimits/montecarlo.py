@@ -410,7 +410,7 @@ def conditional_cdf_mc(lam, x: float, samples: int, seed: int) -> float:
     coeffs = arr - float(x)
     rng = _rng(seed, 10)
     total = int(samples)
-    chunk = max(1, min(total, 8_000_000 // arr.size))
+    chunk = max(1, min(total, _MAX_ENTRIES // arr.size))
     hits = 0
     for start in range(0, total, chunk):
         s = _exponentials(rng, (min(chunk, total - start), arr.size)) @ coeffs

@@ -57,14 +57,12 @@ class RateContext:
     cfg: QuadratureConfig = DEFAULT_QUADRATURE
 
     def __post_init__(self) -> None:
-        if not (self.law.lambda_t_minus < self.x < self.law.lambda_plus):
+        # Only a subnormal level next to the atom at zero overflows an interval end.
+        lo, hi = self.law.lambda_t_minus, self.law.lambda_plus
+        if not (lo < self.x < hi and all(map(math.isfinite, self.interval()))):
             raise ValueError(
-                f"x={self.x!r} must lie strictly inside "
-                f"({self.law.lambda_t_minus}, {self.law.lambda_plus})"
+                f"x={self.x!r} must lie strictly inside ({lo}, {hi}) with a finite tilt interval"
             )
-        if not all(map(math.isfinite, self.interval())):
-            # Only a subnormal level next to the atom at zero overflows an end.
-            raise ValueError(f"x={self.x!r} is too near the edge for a finite tilt interval")
 
     def interval(self) -> tuple[float, float]:
         """Closed finiteness interval of the cumulant generating function."""
@@ -315,8 +313,9 @@ def rate_function(ctx: RateContext, t: float) -> LegendrePoint:
             )
         return LegendrePoint(alpha_star=end, value=max(value, 0.0), t=t, boundary_hit=True)
 
+    # Next to the atom the bracket reaches -1/x, up to -1e308: about 1100 halvings to xtol.
     alpha = brentq(lambda al: cgf_prime(ctx, al) - t, min(bracketed, 0.0), max(bracketed, 0.0),
-                   xtol=1e-12, rtol=8.9e-16)
+                   xtol=1e-12, rtol=8.9e-16, maxiter=4000)
     value = alpha * t - cgf(ctx, alpha)
     if value < -1e-9:
         raise ConsistencyError(f"negative transform value {value!r} at t={t!r}")

@@ -464,6 +464,19 @@ def test_one_sided_commands_solve_only_the_side_they_report():
     assert RunRecord.from_json(out).payload["limit"] == solve_x_plus(50.0, 22.0)[0] / 50.0
 
 
+@pytest.mark.parametrize("argv, where", (
+    # The upper level rounds onto lambda_+ = 4 at the second rate only.
+    (["sweep", "--beta", "1", "--rates", "0.5,60", "--mode", "max"], "beta=1.0, r=60.0: plus"),
+    # The lower level underflows to the atom at 0, or rounds onto lambda_- = 0.81.
+    (["asymptotic", "--beta", "50", "--rate", "22"], "beta=50.0, r=22.0: minus"),
+    (["asymptotic", "--beta", "0.01", "--rate", "5000"], "beta=0.01, r=5000.0: minus"),
+))
+def test_a_level_a_double_cannot_hold_names_beta_rate_and_side(argv, where):
+    code, _, err = run(argv)
+    assert code == 4
+    assert where in err and "must lie strictly inside" in err
+
+
 def test_a_moved_upper_level_fails_only_the_commands_that_report_it(monkeypatch):
     solve = limits.solve_x_plus
     monkeypatch.setattr(limits, "solve_x_plus",
@@ -634,12 +647,14 @@ def test_codebook_preserves_metadata_through_file(tmp_path):
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_readme_limit_examples_run():
-    # The deterministic examples take milliseconds; the randomized ones are
-    # covered by the tests of their subcommands.
+def test_readme_limit_examples_run(tmp_path, monkeypatch):
+    # Every command line the README shows runs as written, in about 3 s;
+    # design writes its codebook file into the test's own directory.
+    monkeypatch.chdir(tmp_path)
     blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
     argvs = [shlex.split(line)[1:] for block in blocks for line in block.splitlines()
-             if line.startswith(("fblimits asymptotic ", "fblimits sweep "))]
-    assert len(argvs) >= 4
+             if line.startswith("fblimits ")]
+    assert len(argvs) >= 11
+    assert {argv[0] for argv in argvs} == {"asymptotic", "sweep", "simulate", "design", "ldp"}
     for argv in argvs:
         assert run(argv)[0] == 0, argv

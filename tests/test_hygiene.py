@@ -206,14 +206,19 @@ def test_public_names_are_pinned():
         assert getattr(fblimits, name) is not None
 
 
+def _names(node: ast.AST, name: str) -> bool:
+    """Whether `node` is the bare name `name` or an attribute `<obj>.name`."""
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name)
+
+
 def _compare_homes(tree: ast.Module, name: str) -> list[str]:
     """Functions holding a comparison that names `name`, one entry per comparison."""
     homes = []
     for func in ast.walk(tree):
         if isinstance(func, ast.FunctionDef):
             for node in ast.walk(func):
-                if isinstance(node, ast.Compare) and any(
-                        isinstance(n, ast.Name) and n.id == name for n in ast.walk(node)):
+                if isinstance(node, ast.Compare) and any(_names(n, name) for n in ast.walk(node)):
                     homes.append(func.name)
     return homes
 
@@ -235,6 +240,21 @@ def test_compare_homes_sees_nested_comparisons():
     tree = ast.parse("def f(a):\n    return [b for b in a if b < cap]\n"
                      "def g(cap):\n    if min(cap, 2) == 1 or cap:\n        return cap\n")
     assert _compare_homes(tree, "cap") == ["f", "g"]
+
+
+def test_compare_homes_sees_attributes():
+    tree = ast.parse("def f(cfg):\n    return 'a' if cfg.mode == 'min' else 'b'\n"
+                     "def g(mode, cfg):\n    return mode in ('x',), cfg.mode_name == 'y'\n")
+    assert _compare_homes(tree, "mode") == ["f", "g"]
+
+
+def test_each_side_is_read_in_one_place():
+    # limits._side is the one map from a side name ('minus'/'plus') to its sign
+    # and edge, and cli._limit_fields the one map from --mode to the sides.
+    limits = ast.parse((SRC / "limits.py").read_text())
+    cli = ast.parse((SRC / "cli.py").read_text())
+    assert set(_compare_homes(limits, "side")) == {"_side"}
+    assert set(_compare_homes(cli, "mode")) == {"_limit_fields"}
 
 
 def _message(node: ast.expr) -> str:

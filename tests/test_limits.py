@@ -445,10 +445,20 @@ def test_input_validation():
         solve_x_minus(1.0, -0.5)
     with pytest.raises(ValueError):
         solve_x_by_rate(1.0, 1.0, "sideways")
+    with pytest.raises(ValueError, match="side must be"):
+        solve_x_by_rate(1.0, 0.0, "bogus")  # before the zero-rate shortcut
     for call in (lambda: thresholds(math.nan), lambda: solve_x_plus(-1.0, 1.0),
                  lambda: solve_x_by_rate(0.0, 0.0, "minus")):
         with pytest.raises(ValueError, match="beta must be finite and positive"):
             call()
+
+
+@pytest.mark.parametrize("beta, r, side", ((1.0, 60.0, "plus"), (50.0, 22.0, "minus")))
+def test_a_level_a_double_cannot_hold_is_refused_with_beta_rate_and_side(beta, r, side):
+    # The level rounds onto the support edge; RateContext's refusal is raised
+    # again, still a ValueError, prefixed with where it happened.
+    with pytest.raises(ValueError, match=f"^at beta={beta}, r={r}: {side} level: x=.* strictly inside"):
+        limits._checked_level(beta, r, side)
 
 
 # The geometric 200x200 grid beta in [1e-3, 50], r in [1e-3, 20].  Its

@@ -19,6 +19,7 @@ from fblimits import (
     rate_function,
     rate_zero,
     shannon_integral,
+    solve_x_minus,
 )
 from fblimits import ratefn
 
@@ -457,6 +458,20 @@ def test_context_rejects_level_outside_support():
         RateContext(law=law, x=law.lambda_plus + 0.1)
     with pytest.raises(ValueError):
         RateContext(law=law, x=law.lambda_minus - 0.01)
+
+
+@pytest.mark.parametrize("beta, r", ((4.0, 40.0), (4.0, 100.0)))
+def test_rate_function_converges_next_to_the_atom_at_zero(beta, r):
+    # x is about 2.5e-49 at r = 40, so the tilt bracket [-1/x, 0] is about
+    # 4e48 wide around a root near -0.38: Brent needs 171 evaluations there,
+    # and 411 at r = 100, past its default bound of 100.
+    x = solve_x_minus(beta, r)[0]
+    c = ctx(beta, x)
+    t = 0.37 * (1.0 - x)
+    pt = rate_function(c, t)
+    assert not pt.boundary_hit and -1.0 < pt.alpha_star < 0.0
+    assert cgf_prime(c, pt.alpha_star) == pytest.approx(t, abs=1e-9)
+    assert 0.0 < pt.value < rate_zero(c).value
 
 
 @pytest.mark.parametrize("x", (5e-324, 1e-323, 1.5e-323))
