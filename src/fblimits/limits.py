@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 from ._brent import brentq
-from .ratefn import ConsistencyError, RateContext, _edge_log_moment, rate_zero
+from .ratefn import ConsistencyError, RateContext, _edge_log_moment, _saddle, rate_zero
 from .spectra import MpLaw, mp_law
 
 __all__ = [
@@ -124,12 +125,31 @@ def solve_x_plus(beta: float, r: float) -> tuple[float, str]:
     return _solve_x(beta, r, "plus")
 
 
+def _substituted(beta: float, r: float, side: str, law: MpLaw, x: float) -> float:
+    """Level x on one side, substituted back into the rate at zero.
+
+    A residual beyond 1e-8 + |alpha*| ulp(x) raises ConsistencyError: the rate's
+    slope in x is the optimal tilt alpha*, about 1e8 at r = 28.
+    """
+    where = f"at beta={beta}, r={r}: {side}"
+    try:
+        ctx = RateContext(law, x)
+    except ValueError as exc:
+        raise ValueError(f"{where} level: {exc}") from exc
+    point = rate_zero(ctx)
+    residual = point.value - r * _LN2
+    if abs(residual) > 1e-8 + abs(point.alpha_star) * math.ulp(x):
+        raise ConsistencyError(f"defining-equation residuals too large {where} {residual:.3e}")
+    return x
+
+
 def solve_x_by_rate(beta: float, r: float, side: str) -> float:
     """Invert rate_zero(x) = r log 2 directly, without the explicit formulas.
 
     Serves as the independent route against solve_x_minus / solve_x_plus.
     The root is found in a log-distance variable from the relevant support
     edge, which keeps the search accurate when x is within rounding of it.
+    Steps read the closed rate; the root is checked, and refused, as the explicit level is.
     """
     law = mp_law(beta)
     _check_r(r)
@@ -140,7 +160,7 @@ def solve_x_by_rate(beta: float, r: float, side: str) -> float:
     root = math.sqrt(beta)
 
     def value_at(w: float) -> float:
-        return rate_zero(RateContext(law, edge - s * math.exp(w))).value - target
+        return _saddle(RateContext(law, edge - s * math.exp(w)))[1] - target
 
     # Guaranteed-sign left bracket: the edge branch is exactly edge_log_moment - w
     # once x is past 1 + s sqrt(beta).  The lower side at beta >= 1 has an atom at
@@ -149,32 +169,27 @@ def solve_x_by_rate(beta: float, r: float, side: str) -> float:
         w_lo = -2.0 - law.beta * target
     else:
         w_lo = min(math.log(root * (1.0 + s * root)), _edge_log_moment(law, s) - target) - 1.0
+    # Past r ~ 47 that end can round x onto the edge.  The nearest level a double holds
+    # is one gap away (at the atom, the least x with 1/x finite); if even its rate is not
+    # above the target, no bracket changes sign and that level is the answer.
+    gap = abs(edge - math.nextafter(edge, 1.0)) if edge > 0.0 else 1.0 / sys.float_info.max
+    w_edge = math.log(gap) + 1e-12  # the margin outweighs exp's rounding of log(gap)
+    if w_lo < w_edge:
+        w_lo = w_edge
+        if value_at(w_lo) <= 0.0:
+            return _substituted(beta, r, side, law, edge - s * math.exp(w_lo))
     w_hi = math.log(abs(1.0 - edge)) - 1e-9  # just inside x = 1, where the rate is ~0
     # brentq evaluates both ends first and refuses a bracket without a sign change.
     w = brentq(value_at, w_lo, w_hi, xtol=1e-13, rtol=8.9e-16)
-    return edge - s * math.exp(w)
+    return _substituted(beta, r, side, law, edge - s * math.exp(w))
 
 
 def _checked_level(beta: float, r: float, side: str) -> tuple[float, str]:
-    """Level and branch on one side, substituted back into the rate at zero.
-
-    A residual beyond 1e-8 + |alpha*| ulp(x) raises ConsistencyError.  The
-    rate's slope in x is the optimal tilt alpha*, so rounding x to a double
-    alone moves the rate by up to |alpha*| ulp(x), about 1e-7 at r = 28.
-    """
+    """Level and branch on one side from the explicit formulas, then checked."""
     law = mp_law(beta)
     s, _ = _side(law, side)
     x, branch = (solve_x_minus if s < 0.0 else solve_x_plus)(beta, r)
-    where = f"at beta={beta}, r={r}: {side}"
-    try:
-        ctx = RateContext(law, x)
-    except ValueError as exc:
-        raise ValueError(f"{where} level: {exc}") from exc
-    point = rate_zero(ctx)
-    residual = point.value - r * _LN2
-    if abs(residual) > 1e-8 + abs(point.alpha_star) * math.ulp(x):
-        raise ConsistencyError(f"defining-equation residuals too large {where} {residual:.3e}")
-    return x, branch
+    return _substituted(beta, r, side, law, x), branch
 
 
 def asymptotic_limits(beta: float, r: float) -> AsymptoticResult:

@@ -224,8 +224,8 @@ def _saddle(ctx: RateContext) -> tuple[float, float]:
     """Optimal tilt and -cgf there in closed form, from one branch decision.
 
     On side s = sign(x - 1) the tilt is the interval end once s x >= s + sqrt(beta)
-    (the lower side only for beta < 1); otherwise it is the interior
-    stationary point, clamped into the interval lest it round past an end.
+    (the lower side only for beta < 1); otherwise it is the interior stationary
+    point, its tilt clamped into the interval and its value floored at 0.
     """
     law, x = ctx.law, ctx.x
     root = math.sqrt(law.beta)
@@ -235,7 +235,7 @@ def _saddle(ctx: RateContext) -> tuple[float, float]:
         end, edge = (hi, law.lambda_plus) if s > 0.0 else (lo, law.lambda_minus)
         return end, _edge_log_moment(law, s) - math.log(s * (edge - x))
     alpha = min(max((x - 1.0) / (law.beta * x), lo), hi)
-    return alpha, (x - 1.0 - math.log(x)) / law.beta
+    return alpha, max((x - 1.0 - math.log(x)) / law.beta, 0.0)
 
 
 def rate_zero(ctx: RateContext) -> LegendrePoint:
@@ -265,7 +265,7 @@ def rate_zero(ctx: RateContext) -> LegendrePoint:
     lo, hi = ctx.interval()
     return LegendrePoint(
         alpha_star=alpha,
-        value=max(value_closed, 0.0),
+        value=value_closed,
         t=0.0,
         boundary_hit=(alpha == hi or alpha == lo),
     )

@@ -257,6 +257,25 @@ def test_each_side_is_read_in_one_place():
     assert set(_compare_homes(cli, "mode")) == {"_limit_fields"}
 
 
+def _call_homes(tree: ast.Module, name: str) -> list[str]:
+    """Functions holding a call of `name`, one entry per call."""
+    return [func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func) if isinstance(node, ast.Call) and _names(node.func, name)]
+
+
+def test_each_limit_level_is_checked_in_one_place():
+    # Both limit routes, the explicit formulas and the rate inversion, hand the
+    # level they return to limits._substituted, the one quadrature check there.
+    limits = ast.parse((SRC / "limits.py").read_text())
+    assert _call_homes(limits, "rate_zero") == ["_substituted"]
+
+
+def test_call_homes_sees_nested_and_attribute_calls():
+    tree = ast.parse("def f(a):\n    def g():\n        return m.check(a)\n    return g\n"
+                     "def h(check):\n    return check\n")
+    assert _call_homes(tree, "check") == ["f", "g"]
+
+
 def _message(node: ast.expr) -> str:
     """A message's constant parts, each formatted field written as {}."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):

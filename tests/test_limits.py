@@ -8,7 +8,6 @@ from scipy.optimize import brentq
 
 from fblimits import (
     ConsistencyError,
-    LegendrePoint,
     RateContext,
     asymptotic_limits,
     mp_law,
@@ -235,8 +234,7 @@ PINNED_LEVELS = (
     (4.0, 0.32510689526419273, 0.17856062787792107, "fixed_point", 3.0000000000000004, "fixed_point"),
     (4.0, 0.3251068952641928, 0.17856062787792104, "fixed_point", 3.0, "explicit"),
 )
-# (beta, r, side, solve_x_by_rate) at the same rates; the inversions that
-# raise ConsistencyError near beta = 1 are left out
+# (beta, r, side, solve_x_by_rate) at the same rates
 PINNED_RATE_INVERSIONS = (
     (0.25, 1.1146099182220728, "minus", 0.49999999999999994),
     (0.25, 1.1146099182220728, "plus", 1.7444615737671827),
@@ -261,6 +259,18 @@ PINNED_RATE_INVERSIONS = (
     (0.5, 0.4971722868663549, "plus", 1.7071067811865475),
     (0.5, 0.49717228686635495, "minus", 0.52176085370284),
     (0.5, 0.49717228686635495, "plus", 1.7071067811865475),
+    (0.999999, 19.48889337808919, "minus", 5.000001249699813e-07),
+    (0.999999, 19.48889337808919, "plus", 3.9999943055250937),
+    (0.999999, 19.488893378089195, "minus", 5.000001249699804e-07),
+    (0.999999, 19.488893378089195, "plus", 3.9999943055250937),
+    (0.999999, 19.488893378089198, "minus", 5.000001249699786e-07),
+    (0.999999, 19.488893378089198, "plus", 3.9999943055250937),
+    (0.999999, 0.442695122910281, "minus", 0.406375911101868),
+    (0.999999, 0.442695122910281, "plus", 1.9999994999998751),
+    (0.999999, 0.44269512291028107, "minus", 0.406375911101868),
+    (0.999999, 0.44269512291028107, "plus", 1.9999994999998751),
+    (0.999999, 0.4426951229102811, "minus", 0.40637591110186794),
+    (0.999999, 0.4426951229102811, "plus", 1.9999994999998754),
     (1.0, 0.4426950408889634, "minus", 0.40637573995995757),
     (1.0, 0.4426950408889634, "plus", 2.0),
     (1.0, 0.44269504088896344, "minus", 0.4063757399599575),
@@ -349,7 +359,9 @@ def test_rate_inversion_handles_extreme_rates():
 
 @pytest.mark.parametrize("beta, r, side", ((0.5, 1.0, "minus"), (2.0, 1.0, "minus"), (0.25, 3.0, "plus")))
 def test_rate_inversion_evaluates_only_what_brentq_asks_for(monkeypatch, beta, r, side):
-    calls = {"rate_zero": 0, "brentq": 0}
+    # Each Brent step reads the closed value; the quadrature checks the root alone.
+    calls = {"_saddle": 0, "brentq": 0}
+    checked = []
 
     def counted(name, fn):
         def wrapper(*args):
@@ -357,16 +369,18 @@ def test_rate_inversion_evaluates_only_what_brentq_asks_for(monkeypatch, beta, r
             return fn(*args)
         return wrapper
 
-    solver = limits.brentq
-    monkeypatch.setattr(limits, "rate_zero", counted("rate_zero", limits.rate_zero))
+    solver, check = limits.brentq, limits.rate_zero
+    monkeypatch.setattr(limits, "_saddle", counted("_saddle", limits._saddle))
     monkeypatch.setattr(limits, "brentq", lambda f, *a, **k: solver(counted("brentq", f), *a, **k))
-    solve_x_by_rate(beta, r, side)
-    assert calls["rate_zero"] == calls["brentq"] > 2
+    monkeypatch.setattr(limits, "rate_zero", lambda ctx: checked.append(ctx.x) or check(ctx))
+    x = solve_x_by_rate(beta, r, side)
+    assert calls["_saddle"] == calls["brentq"] > 2
+    assert checked == [x]
 
 
 def test_rate_inversion_refuses_a_bracket_without_a_sign_change(monkeypatch):
     # brentq's own refusal; the CLI maps its ValueError to exit 4.
-    monkeypatch.setattr(limits, "rate_zero", lambda ctx: LegendrePoint(0.0, 100.0, 0.0, False))
+    monkeypatch.setattr(limits, "_saddle", lambda ctx: (0.0, 100.0))
     with pytest.raises(ValueError, match="different signs"):
         solve_x_by_rate(1.0, 1.0, "plus")
 
@@ -500,3 +514,35 @@ def test_domain_subsample_matches_rate_inversion():
         assert res.x_minus == pytest.approx(solve_x_by_rate(beta, r, "minus"), rel=1e-6, abs=0.0)
         assert res.x_plus == pytest.approx(solve_x_by_rate(beta, r, "plus"), rel=1e-6, abs=0.0)
 
+
+def test_rate_inversion_solves_every_level_the_explicit_formulas_accept():
+    # Past r ~ 47 the levels sit within a few ulps of their edge; the search's
+    # left bracket end must stay on a level a double can hold.  At beta = 13,
+    # r = 78.6 the lower level is subnormal, nearer the atom than the least normal.
+    failures = []
+    grid = [(b, r) for b in DOMAIN_BETAS[::33].tolist() for r in np.arange(40.0, 60.125, 0.25).tolist()]
+    for beta, r in grid + [(13.0, 78.6)]:
+        for side in ("minus", "plus"):
+            try:
+                x = limits._checked_level(beta, r, side)[0]
+            except (ValueError, ConsistencyError):
+                continue
+            try:
+                got = solve_x_by_rate(beta, r, side)
+            except (ValueError, RuntimeError) as exc:
+                failures.append((beta, r, side, repr(exc)))
+                continue
+            if got != pytest.approx(x, rel=1e-6, abs=0.0):
+                failures.append((beta, r, side, x, got))
+    assert not failures, failures[:10]
+
+
+@pytest.mark.parametrize("beta, r, side, edge", (
+    (1.0, 53.5, "plus", 4.0), (0.25, 54.3, "minus", 0.25), (4.0, 53.0, "plus", 9.0)))
+def test_only_the_rate_inversion_answers_where_the_explicit_level_rounds_onto_the_edge(
+        beta, r, side, edge):
+    # The explicit level rounds onto the edge and is refused; the nearest level a
+    # double holds passes the same residual check, and the inversion returns it.
+    with pytest.raises(ValueError, match=f"^at beta={beta}, r={r}: {side} level:"):
+        limits._checked_level(beta, r, side)
+    assert solve_x_by_rate(beta, r, side) == math.nextafter(edge, 1.0)
