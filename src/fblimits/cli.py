@@ -146,8 +146,7 @@ def load_codebook(path: str) -> Codebook:
         raise ValueError(f"{path}: expected {2 * n} floats per row")
     flat = np.array([[float(t) for t in row] for row in data], dtype=float)
     vectors = flat[:, 0::2] + 1j * flat[:, 1::2]
-    norms = np.linalg.norm(vectors, axis=1)
-    if np.abs(norms - 1.0).max() > 1e-9:
+    if not np.abs(np.linalg.norm(vectors, axis=1) - 1.0).max() <= 1e-9:  # a NaN norm fails too
         raise ValueError(f"{path}: codewords are not unit norm")
     return Codebook(n=n, vectors=vectors, kind=kind, seed=seed)
 

@@ -20,7 +20,7 @@ import sys
 
 from ._brent import brentq
 from .ratefn import ConsistencyError, RateContext, _edge_log_moment, _saddle, rate_zero
-from .spectra import MpLaw, mp_law
+from .spectra import MpLaw, QuadratureError, mp_law
 
 __all__ = [
     "AsymptoticResult",
@@ -133,10 +133,9 @@ def _substituted(beta: float, r: float, side: str, law: MpLaw, x: float) -> floa
     """
     where = f"at beta={beta}, r={r}: {side}"
     try:
-        ctx = RateContext(law, x)
-    except ValueError as exc:
-        raise ValueError(f"{where} level: {exc}") from exc
-    point = rate_zero(ctx)
+        point = rate_zero(RateContext(law, x))
+    except (ValueError, QuadratureError, ConsistencyError) as exc:
+        raise type(exc)(f"{where} level: {exc}") from exc
     residual = point.value - r * _LN2
     if abs(residual) > 1e-8 + abs(point.alpha_star) * math.ulp(x):
         raise ConsistencyError(f"defining-equation residuals too large {where} {residual:.3e}")

@@ -1,7 +1,8 @@
 """Finite-size Monte Carlo machinery for codebook selection.
 
 Three routes to the selected quadratic form are kept deliberately separate
-so they can cross-check one another:
+so they can cross-check one another.  Each computes a minimum; a maximum is
+the mirrored minimum, max v = -min(-v), which negation keeps exact:
 
 * direct simulation of v* A v over an explicit codebook,
 * the spectral representation min_k sum(lam_i |z_i|^2) / sum(|z_i|^2) with
@@ -9,9 +10,8 @@ so they can cross-check one another:
 * the conditional-CDF route, which integrates (1 - mu(x))^K and scales,
   reaching feedback depths where enumeration is impossible.
 
-The conditional CDF itself is estimated by exponentially tilted importance
-sampling with exact likelihood ratios, which keeps log-probabilities
-accurate far into the tails.
+The conditional CDF is estimated by exponentially tilted importance sampling
+with exact likelihood ratios, so log-probabilities stay accurate in the tails.
 
 All randomness flows through counter-based substreams derived from
 (seed, role, trial), so results are independent of execution order.  Trials
@@ -259,12 +259,13 @@ class SimConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
 
 
-def _check_selection(r_fb: int, mode: str) -> None:
-    """Refuse a negative feedback depth or a mode other than 'min' and 'max'."""
+def _check_selection(r_fb: int, mode: str) -> float:
+    """Refuse r_fb < 0 or an unknown mode; else the mirror sign, +1 'min' or -1 'max' (max v = -min(-v))."""
     if r_fb < 0:
         raise ValueError(f"r_fb must be >= 0, got {r_fb}")
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+    return 1.0 if mode == "min" else -1.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -329,12 +330,13 @@ def simulate_c_direct(cfg: SimConfig, codebook: Codebook | None = None, threads:
     if codebook is not None and codebook.n != cfg.n:
         raise ValueError(f"codebook dimension {codebook.n} != cfg.n {cfg.n}")
     n, m = cfg.n, cfg.m
+    sign = _check_selection(cfg.r_fb, cfg.mode)
     fixed = None if codebook is None else _real_rows(codebook.vectors)
     vals = np.empty(cfg.trials)
     for block in _trial_blocks(cfg.trials, entries):
         rngs = [_rng(cfg.seed, 1, t) for t in block]
         h = np.stack([_channel(rng, n, m) for rng in rngs])
-        a = (h @ h.conj().transpose(0, 2, 1)) / n
+        a = sign * (h @ h.conj().transpose(0, 2, 1)) / n
         # Re(v* A v) = [Re v, Im v] A_r [Re v, Im v]^T: one real GEMM per trial.
         a_r = np.block([[a.real, -a.imag], [a.imag, a.real]])
         if fixed is None:
@@ -344,7 +346,7 @@ def simulate_c_direct(cfg: SimConfig, codebook: Codebook | None = None, threads:
             quad = np.einsum("bij,bij->bi", vr @ a_r, vr)
         else:
             quad = np.stack([np.einsum("ij,ij->i", fixed @ q, fixed) for q in a_r])
-        vals[block.start:block.stop] = quad.min(axis=1) if cfg.mode == "min" else quad.max(axis=1)
+        vals[block.start:block.stop] = sign * quad.min(axis=1)
     return _estimate_from(vals)
 
 
@@ -357,13 +359,13 @@ def simulate_c_spectral(cfg: SimConfig, threads: int = 1) -> Estimate:
     `threads` is accepted and ignored: trials run in order on this thread.
     """
     k, _ = _check_budget(cfg, direct=False)
-    pick = np.min if cfg.mode == "min" else np.max
+    sign = _check_selection(cfg.r_fb, cfg.mode)
     vals = np.empty(cfg.trials)
     for t in range(cfg.trials):
         rng = _rng(cfg.seed, 2, t)
         lam = _clipped_eigs(_channel(rng, cfg.n, cfg.m))
         y = _exponentials(rng, (k, cfg.n))
-        vals[t] = pick((y @ lam) / y.sum(axis=1))
+        vals[t] = sign * np.min((y @ (sign * lam)) / y.sum(axis=1))
     return _estimate_from(cfg.m / cfg.n * vals)
 
 
@@ -405,8 +407,10 @@ def _as_spectrum(lam, samples: int, least: int) -> np.ndarray:
 
 
 def conditional_cdf_mc(lam, x: float, samples: int, seed: int) -> float:
-    """Plain Monte Carlo estimate of P(sum (lam_i - x) Y_i <= 0)."""
+    """Plain Monte Carlo estimate of P(sum (lam_i - x) Y_i <= 0); x = +-inf gives exactly 1 or 0."""
     arr = _as_spectrum(lam, samples, 1)
+    if math.isnan(x):
+        raise ValueError("level x must not be NaN")
     coeffs = arr - float(x)
     rng = _rng(seed, 10)
     total = int(samples)
@@ -672,26 +676,24 @@ def _level_bisect(arr: np.ndarray, expo: np.ndarray, target: float, se_stop: boo
     return 0.5 * (a + b)
 
 
-def _is_degenerate(lmin: float, lmax: float) -> bool:
+def _is_degenerate(arr: np.ndarray) -> bool:
     """A spectrum no wider than 1e-14 * max(1, |upper edge|) counts as one point."""
-    return lmax - lmin <= 1e-14 * max(1.0, abs(lmax))
+    lmax = float(arr.max())
+    return lmax - float(arr.min()) <= 1e-14 * max(1.0, abs(lmax))
 
 
 def _min_or_mirrored_max(fn, lam, r_fb: int, mode: str, samples: int, seed: int) -> float:
-    """Validate, then run fn on the spectrum (min) or its negation (max).
+    """Validate, then run fn on the spectrum (min) or its negation (max), and undo the sign.
 
     Degenerate input never reaches fn: a degenerate spectrum (_is_degenerate,
     taken after the negation) returns its edge, and r_fb = 0, a single
     codeword, returns the spectrum mean.
     """
     arr = _as_spectrum(lam, samples, 2)
-    _check_selection(r_fb, mode)
-    sign = 1.0 if mode == "min" else -1.0
+    sign = _check_selection(r_fb, mode)
     arr = sign * arr
-    lmin = float(arr.min())
-    lmax = float(arr.max())
-    if _is_degenerate(lmin, lmax):
-        return sign * lmin
+    if _is_degenerate(arr):
+        return sign * float(arr.min())
     if r_fb == 0:
         return sign * float(arr.mean())
     return sign * fn(arr, r_fb, samples, seed)
@@ -732,7 +734,7 @@ def quantile_x_n(lam, p: float, seed: int, samples: int = 20000) -> float:
     arr = _as_spectrum(lam, samples, 2)
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must be in (0, 1), got {p!r}")
-    if _is_degenerate(float(arr.min()), float(arr.max())):
+    if _is_degenerate(arr):
         raise ValueError("spectrum is degenerate; the quantile is not defined")
     return _level_bisect(arr, _panel(arr, samples, seed, 13), math.log(p), se_stop=True)
 

@@ -10,10 +10,10 @@ transform rate(t) = sup_alpha { alpha t - cgf(alpha) } is the large-deviation
 rate of the weighted exponential sums that govern codebook selection, and
 rate(0) is the quantity the asymptotic performance limits invert.
 
-Every derived value is computed twice, by quadrature against the law and
-through algebraic closed forms (eta and Shannon transforms, explicit optimal
-tilt, endpoint log-moments); the two routes are compared at runtime and a
-disagreement raises instead of silently picking one.
+Two values are computed twice, by quadrature against the law and in closed
+form, and compared at runtime: the rate at zero (explicit optimal tilt,
+endpoint log-moments) and the cgf derivative where the eta transform's real
+branch applies.  A disagreement raises; cgf itself has no closed-form check.
 """
 
 from __future__ import annotations

@@ -135,7 +135,8 @@ def mp_integrate(
     and return finite real values on [0, lambda_plus].
     """
     lam, weights = _nodes_and_weights(law, cfg)
-    vals = np.asarray(g(lam), dtype=float)
+    with np.errstate(all="ignore"):  # a non-finite value is refused below, with its node
+        vals = np.asarray(g(lam), dtype=float)
     if vals.shape != lam.shape:
         raise ValueError("integrand must return one value per node")
     bad = ~np.isfinite(vals)

@@ -6,9 +6,11 @@ import dataclasses
 import io
 import json
 import math
+import os
 import pathlib
 import re
 import shlex
+import subprocess
 import sys
 
 import numpy as np
@@ -200,6 +202,19 @@ def test_numeric_error_exits_4():
         code, _, err = run(["ldp", "--beta", "1", "--x", x, "--sizes", sizes])
         assert code == 4
         assert "error" in err.lower()
+
+
+def test_a_level_the_quadrature_cannot_take_exits_4_with_one_line():
+    # At beta = 1, r = 1022 the lower level is subnormal: its tilt overflows the
+    # quadrature's integrand.  A fresh interpreter shows what a user sees on stderr.
+    src = str(pathlib.Path(limits.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "fblimits.cli", "sweep", "--beta", "1", "--rates", "1022", "--mode", "min"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 4
+    assert re.fullmatch(r"error: at beta=1\.0, r=1022\.0: minus level: integrand returned .*\n", proc.stderr)
+    assert "Warning" not in proc.stderr
 
 
 def test_budget_refusal_exits_5():
@@ -624,6 +639,7 @@ def test_codebook_loader_rejects_garbage(tmp_path):
         ([magic, header, row0 + " 0.0", row1 + " 0.0"], "expected 4 floats per row"),
         ([magic, header, row0, row1 + " 0.0"], "expected 4 floats per row"),
         ([magic, header, unnormed, row1], "not unit norm"),
+        ([magic, "# n=1 size=1 kind=random seed=0", "nan 0"], "not unit norm"),
     ):
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=match):

@@ -257,6 +257,13 @@ def test_each_side_is_read_in_one_place():
     assert set(_compare_homes(cli, "mode")) == {"_limit_fields"}
 
 
+def test_the_selection_mode_is_read_in_one_place():
+    # montecarlo._check_selection refuses a bad mode and returns the mirror sign
+    # (max v = -min(-v)); every route past it computes a minimum.
+    montecarlo = ast.parse((SRC / "montecarlo.py").read_text())
+    assert set(_compare_homes(montecarlo, "mode")) == {"_check_selection"}
+
+
 def _call_homes(tree: ast.Module, name: str) -> list[str]:
     """Functions holding a call of `name`, one entry per call."""
     return [func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
@@ -268,6 +275,16 @@ def test_each_limit_level_is_checked_in_one_place():
     # level they return to limits._substituted, the one quadrature check there.
     limits = ast.parse((SRC / "limits.py").read_text())
     assert _call_homes(limits, "rate_zero") == ["_substituted"]
+
+
+def test_each_limit_level_is_refused_in_one_place():
+    # limits._substituted's one try holds RateContext and rate_zero, so their domain,
+    # quadrature and rate-at-zero refusals all gain beta, r and the side.
+    limits = ast.parse((SRC / "limits.py").read_text())
+    tries = [node for node in ast.walk(limits) if isinstance(node, ast.Try)]
+    guarded = [node for t in tries for stmt in t.body for node in ast.walk(stmt)
+               if isinstance(node, ast.Call) and _names(node.func, "rate_zero")]
+    assert len(tries) == 1 and len(guarded) == 1
 
 
 def test_call_homes_sees_nested_and_attribute_calls():

@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 
 from fblimits import (
     ConsistencyError,
+    QuadratureError,
     RateContext,
     asymptotic_limits,
     mp_law,
@@ -473,6 +474,17 @@ def test_a_level_a_double_cannot_hold_is_refused_with_beta_rate_and_side(beta, r
     # again, still a ValueError, prefixed with where it happened.
     with pytest.raises(ValueError, match=f"^at beta={beta}, r={r}: {side} level: x=.* strictly inside"):
         limits._checked_level(beta, r, side)
+
+
+@pytest.mark.parametrize("solve, beta, r", (
+    (lambda b, r: solve_x_by_rate(b, r, "minus"), 50.0, 22.0),
+    (lambda b, r: limits._checked_level(b, r, "minus"), 1.0, 1022.0)), ids=("by_rate", "explicit"))
+def test_a_subnormal_level_the_quadrature_cannot_take_is_refused_with_beta_rate_and_side(solve, beta, r):
+    # RateContext accepts the subnormal lower level next to the atom, but its tilt
+    # of about -1/x overflows the integrand; the quadrature's refusal is raised
+    # again, prefixed like every other refusal of a level, and numpy stays quiet.
+    with pytest.raises(QuadratureError, match=f"^at beta={beta}, r={r}: minus level: integrand returned"):
+        solve(beta, r)
 
 
 # The geometric 200x200 grid beta in [1e-3, 50], r in [1e-3, 20].  Its

@@ -541,6 +541,14 @@ def test_plain_cdf_degenerate_cases():
         conditional_cdf_mc(TWO_POINT, 1.0, 0, seed=0)
 
 
+def test_plain_cdf_refuses_a_nan_level():
+    # A NaN level makes no coefficient <= 0 and would read as probability 0.
+    with pytest.raises(ValueError, match="level x must not be NaN"):
+        conditional_cdf_mc(TWO_POINT, math.nan, 1000, seed=0)
+    assert conditional_cdf_mc(TWO_POINT, math.inf, 1000, seed=0) == 1.0
+    assert conditional_cdf_mc(TWO_POINT, -math.inf, 1000, seed=0) == 0.0
+
+
 def test_plain_cdf_symmetric_point():
     n = 100_000
     got = conditional_cdf_mc(TWO_POINT, 1.0, n, seed=5)
