@@ -28,7 +28,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .spectra import EigenSolverError, QuadratureError
+from .spectra import EigenSolverError, QuadratureError, _integer
 from .ratefn import ConsistencyError, RateContext, rate_zero
 from .limits import _checked_level, thresholds, throughput
 from .montecarlo import (
@@ -131,12 +131,8 @@ def load_codebook(path: str) -> Codebook:
         raise ValueError(f"{path}: not a codebook file")
     try:
         meta = dict(tok.split("=", 1) for tok in raw[1].lstrip("# ").split())
-        n = int(meta["n"])
-        size = int(meta["size"])
-        seed = int(meta["seed"])
-        kind = meta["kind"]
-        if n < 1 or size < 1:
-            raise ValueError("n and size must be >= 1")
+        n, size = _integer("n", int(meta["n"]), 1), _integer("size", int(meta["size"]), 1)
+        seed, kind = int(meta["seed"]), meta["kind"]
     except (IndexError, KeyError, ValueError) as exc:
         raise ValueError(f"{path}: malformed codebook header") from exc
     data = [ln.split() for ln in raw[2:] if ln.strip()]
@@ -178,9 +174,10 @@ def _cmd_asymptotic(args, parser: argparse.ArgumentParser) -> dict:
 
 
 def _cmd_sweep(args, parser: argparse.ArgumentParser) -> dict:
-    if args.rates is not None:
+    ranged = (args.rate_min, args.rate_max)
+    if args.rates is not None and ranged == (None, None):
         rates = args.rates
-    elif args.rate_min is not None and args.rate_max is not None:
+    elif args.rates is None and None not in ranged:
         if not args.rate_min < args.rate_max:
             parser.error("--rate-min must be below --rate-max")
         rates = [float(r) for r in np.linspace(args.rate_min, args.rate_max, args.points)]

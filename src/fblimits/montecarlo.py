@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from ._brent import brentq
-from .spectra import _SEED_MASK, _channel, _check_shape, _clipped_eigs, _complex_normal
+from .spectra import _SEED_MASK, _channel, _clipped_eigs, _complex_normal, _integer
 from .spectra import MpLaw, mp_law, sample_spectrum
 
 __all__ = [
@@ -75,7 +75,7 @@ class ReliabilityError(RuntimeError):
 
 
 def _seed_sequence(seed: int, *path: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([int(seed) & _SEED_MASK, *path])
+    return np.random.SeedSequence([_integer("seed", seed) & _SEED_MASK, *path])
 
 
 def _rng(seed: int, *path: int) -> np.random.Generator:
@@ -160,10 +160,9 @@ def _max_cross_gain(vectors: np.ndarray) -> float:
 
 def random_codebook(n: int, size: int, seed: int) -> Codebook:
     """Isotropically random codebook: normalized i.i.d. CN(0,1) rows."""
-    if n < 1 or size < 1:
-        raise ValueError(f"need n >= 1 and size >= 1, got n={n}, size={size}")
+    n, size, seed = _integer("n", n, 1), _integer("size", size, 1), _integer("seed", seed)
     vectors = _isotropic_rows(_rng(seed, 0), size, n)
-    return Codebook(n=n, vectors=vectors, kind="random_isotropic", seed=int(seed))
+    return Codebook(n=n, vectors=vectors, kind="random_isotropic", seed=seed)
 
 
 def min_chordal_distance(codebook: Codebook) -> float:
@@ -224,8 +223,8 @@ def design_codebook(n: int, size: int, seed: int, iterations: int = 800) -> Code
     than that baseline; when size <= n one restart starts from an
     orthonormal frame, whose min chordal distance is already 1.
     """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    n, size, seed = _integer("n", n, 1), _integer("size", size, 1), _integer("seed", seed)
+    iterations = _integer("iterations", iterations, 1)
     _hold(8 * size * size, f"the Gram of 8 restarts x {size}^2 codeword pairs")
     vectors = random_codebook(n, size, seed).vectors
     if size > 1:
@@ -234,7 +233,7 @@ def design_codebook(n: int, size: int, seed: int, iterations: int = 800) -> Code
             inits.append(np.linalg.qr(_complex_normal(_rng(seed, 29), (n, n)))[0][:size])
         inits += [_isotropic_rows(_rng(seed, 30 + j), size, n) for j in range(len(inits), 8)]
         vectors = _design_descent(np.stack(inits), iterations)
-    return Codebook(n=n, vectors=vectors, kind="designed", seed=int(seed))
+    return Codebook(n=n, vectors=vectors, kind="designed", seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +252,14 @@ class SimConfig:
     mode: str = "min"
 
     def __post_init__(self) -> None:
-        _check_shape(self.n, self.m)
+        for name, least in (("n", 1), ("m", 1), ("r_fb", 0), ("trials", 1), ("seed", None)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         _check_selection(self.r_fb, self.mode)
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
 
 
 def _check_selection(r_fb: int, mode: str) -> float:
-    """Refuse r_fb < 0 or an unknown mode; else the mirror sign, +1 'min' or -1 'max' (max v = -min(-v))."""
-    if r_fb < 0:
-        raise ValueError(f"r_fb must be >= 0, got {r_fb}")
+    """Refuse a bad r_fb or mode; else the mirror sign, +1 'min' or -1 'max' (max v = -min(-v))."""
+    _integer("r_fb", r_fb, 0)
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     return 1.0 if mode == "min" else -1.0
@@ -379,7 +376,7 @@ def simulate_c_cdf(cfg: SimConfig, samples: int = 20000, threads: int = 1) -> Es
     integration bias controlled by `samples` and the grid refinement.
     `threads` is accepted and ignored: trials run in order on this thread.
     """
-    _check_samples(samples, 2)
+    samples = _integer("samples", samples, 2)
     vals = np.empty(cfg.trials)
     for t in range(cfg.trials):
         lam = sample_spectrum(cfg.n, cfg.m, _child_seed(cfg.seed, 3, t)).eigenvalues
@@ -391,33 +388,25 @@ def simulate_c_cdf(cfg: SimConfig, samples: int = 20000, threads: int = 1) -> Es
 # conditional CDF of the weighted exponential ratio
 
 
-def _check_samples(samples: int, least: int) -> None:
-    """Refuse fewer than `least` samples: 1 for plain Monte Carlo, 2 for the tilted routes."""
-    if samples < least:
-        raise ValueError(f"samples must be >= {least}, got {samples}")
-
-
-def _as_spectrum(lam, samples: int, least: int) -> np.ndarray:
-    """lam as a flat float array, refused unless non-empty and finite with samples >= least."""
+def _as_spectrum(lam, samples: int, least: int) -> tuple[np.ndarray, int]:
+    """lam as a flat finite non-empty array and samples as an int >= least (1 plain, 2 tilted)."""
     arr = np.asarray(lam, dtype=float).ravel()
     if arr.size < 1 or not np.isfinite(arr).all():
         raise ValueError("spectrum must be a non-empty finite array")
-    _check_samples(samples, least)
-    return arr
+    return arr, _integer("samples", samples, least)
 
 
 def conditional_cdf_mc(lam, x: float, samples: int, seed: int) -> float:
     """Plain Monte Carlo estimate of P(sum (lam_i - x) Y_i <= 0); x = +-inf gives exactly 1 or 0."""
-    arr = _as_spectrum(lam, samples, 1)
+    arr, samples = _as_spectrum(lam, samples, 1)
     if math.isnan(x):
         raise ValueError("level x must not be NaN")
     coeffs = arr - float(x)
     rng = _rng(seed, 10)
-    total = int(samples)
-    chunk = max(1, min(total, _MAX_ENTRIES // arr.size))
+    chunk = max(1, min(samples, _MAX_ENTRIES // arr.size))
     hits = 0
-    for start in range(0, total, chunk):
-        s = _exponentials(rng, (min(chunk, total - start), arr.size)) @ coeffs
+    for start in range(0, samples, chunk):
+        s = _exponentials(rng, (min(chunk, samples - start), arr.size)) @ coeffs
         hits += int(np.count_nonzero(s <= 0.0))
     return hits / samples
 
@@ -432,7 +421,7 @@ class TiltedCdfResult:
 
 def _panel(arr: np.ndarray, samples: int, seed: int, role: int) -> np.ndarray:
     """Standard exponential draws, one row of len(arr) per sample."""
-    return _exponentials(_rng(seed, role), (int(samples), arr.size))
+    return _exponentials(_rng(seed, role), (samples, arr.size))
 
 
 def _tilt_root(coeffs: np.ndarray) -> float:
@@ -516,7 +505,7 @@ def conditional_cdf_tilted(lam, x: float, samples: int, seed: int) -> TiltedCdfR
     x must lie strictly between the smallest and largest spectrum values.
     Raises ReliabilityError when the effective sample size drops below 10.
     """
-    arr = _as_spectrum(lam, samples, 2)
+    arr, samples = _as_spectrum(lam, samples, 2)
     x = float(x)
     if not (arr.min() < x < arr.max()):
         raise ValueError(
@@ -552,11 +541,8 @@ def ldp_rate_estimate(beta: float, x: float, n_list, samples: int, seed: int) ->
     negating the spectrum, which swaps the tails.
     """
     _ldp_law(beta, x)
-    sizes = [int(n) for n in n_list]
-    for n in sizes:
-        if n < 1:
-            raise ValueError(f"sizes must be >= 1, got {n}")
-    _check_samples(samples, 2)
+    sizes = [_integer("sizes", n, 1) for n in n_list]
+    samples = _integer("samples", samples, 2)
     out: list[tuple[int, float]] = []
     for n in sizes:
         m = max(1, round(n / beta))
@@ -689,7 +675,7 @@ def _min_or_mirrored_max(fn, lam, r_fb: int, mode: str, samples: int, seed: int)
     taken after the negation) returns its edge, and r_fb = 0, a single
     codeword, returns the spectrum mean.
     """
-    arr = _as_spectrum(lam, samples, 2)
+    arr, samples = _as_spectrum(lam, samples, 2)
     sign = _check_selection(r_fb, mode)
     arr = sign * arr
     if _is_degenerate(arr):
@@ -731,7 +717,7 @@ def quantile_x_n(lam, p: float, seed: int, samples: int = 20000) -> float:
     monotone in x, so the search is stable even for p around 2^(-200).
     A degenerate spectrum (_is_degenerate) raises ValueError.
     """
-    arr = _as_spectrum(lam, samples, 2)
+    arr, samples = _as_spectrum(lam, samples, 2)
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must be in (0, 1), got {p!r}")
     if _is_degenerate(arr):

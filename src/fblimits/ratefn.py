@@ -145,9 +145,10 @@ def f_kernel(z: float, law: MpLaw) -> float:
     rp = 1.0 + law.lambda_plus * z
     if rm < -1e-12 or rp < -1e-12:
         raise ValueError(f"z={z!r} outside the real branch (z >= -1/lambda_plus)")
-    rm = max(rm, 0.0)
-    rp = max(rp, 0.0)
-    return (math.sqrt(rm) - math.sqrt(rp)) ** 2
+    # The root difference, formed as (rp - rm) / (sqrt(rm) + sqrt(rp)) with
+    # rp - rm = 4 sqrt(beta) z, keeps its digits as z -> 0.
+    root_sum = math.sqrt(max(rm, 0.0)) + math.sqrt(max(rp, 0.0))
+    return (4.0 * math.sqrt(law.beta) * z / root_sum) ** 2
 
 
 def eta_integral(z: float, law: MpLaw) -> float:
@@ -169,15 +170,14 @@ def shannon_integral(z: float, law: MpLaw) -> float:
         return 0.0
     beta = law.beta
     f = f_kernel(z, law)
-    a = 1.0 + z - 0.25 * f
-    b = 1.0 + z * beta - 0.25 * f
+    a1, b1 = z - 0.25 * f, z * beta - 0.25 * f  # a - 1 and b - 1, taken by log1p
     # a = (p_a + S)/2 cancels where p_a < 0 (b likewise); S^2 - p_a^2 = 4 beta z, S^2 - p_b^2 = 4 z.
     p_a, p_b = 1.0 + (1.0 - beta) * z, 1.0 + (beta - 1.0) * z
     if min(p_a, p_b) < 0.0:
         s = math.sqrt(1.0 + law.lambda_minus * z) * math.sqrt(1.0 + law.lambda_plus * z)
-        a = a if p_a >= 0.0 else 2.0 * beta * z / (s - p_a)
-        b = b if p_b >= 0.0 else 2.0 * z / (s - p_b)
-    return math.log(a) + math.log(b) / beta - f / (4.0 * z * beta)
+        a1 = a1 if p_a >= 0.0 else 2.0 * beta * z / (s - p_a) - 1.0
+        b1 = b1 if p_b >= 0.0 else 2.0 * z / (s - p_b) - 1.0
+    return math.log1p(a1) + math.log1p(b1) / beta - f / (4.0 * z * beta)
 
 
 def cgf_prime_closed(ctx: RateContext, alpha: float) -> float:

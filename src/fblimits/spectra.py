@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from typing import Callable
 
 import numpy as np
@@ -41,6 +42,17 @@ class QuadratureError(RuntimeError):
 
 class EigenSolverError(RuntimeError):
     """Eigenvalue decomposition failed for a sampled matrix."""
+
+
+def _integer(name: str, value, least: int | None = None) -> int:
+    """value as an int, refused unless an integer (numpy's too) >= least; every count and seed."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,8 +106,7 @@ class QuadratureConfig:
     node_count: int = 4096
 
     def __post_init__(self) -> None:
-        if self.node_count < 16:
-            raise ValueError(f"node_count must be >= 16, got {self.node_count}")
+        object.__setattr__(self, "node_count", _integer("node_count", self.node_count, 16))
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -170,19 +181,13 @@ def sample_spectrum(n: int, m: int, seed: int) -> SpectrumSample:
     A CN(0,1) entry is built from two real N(0, 1/2) draws.  Exactly
     max(0, n - m) eigenvalues are zero up to numerical rounding.
     """
-    _check_shape(n, m)
-    h = _channel(np.random.default_rng(int(seed) & _SEED_MASK), n, m)
+    n, m, seed = _integer("n", n, 1), _integer("m", m, 1), _integer("seed", seed)
+    h = _channel(np.random.default_rng(seed & _SEED_MASK), n, m)
     try:
         eigs = _clipped_eigs(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise EigenSolverError(f"eigvalsh failed for n={n}, m={m}, seed={seed}: {exc}") from exc
-    return SpectrumSample(n=n, m=m, eigenvalues=eigs, seed=int(seed))
-
-
-def _check_shape(n: int, m: int) -> None:
-    """Refuse a channel with no rows or no columns."""
-    if n < 1 or m < 1:
-        raise ValueError(f"n and m must be >= 1, got n={n}, m={m}")
+    return SpectrumSample(n=n, m=m, eigenvalues=eigs, seed=seed)
 
 
 def _complex_normal(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:

@@ -81,6 +81,7 @@ def test_no_command_is_usage_error():
         ["simulate", "--n", "4", "--m", "4", "--r-fb", "1", "--trials", "1" + "0" * 400],
         ["simulate", "--n", "4", "--m", "4", "--r-fb", "1", "--trials", "5", "--threads", "2"],
         ["sweep", "--beta", "1", "--rates", ","],
+        ["sweep", "--beta", "1", "--rates", "0.5", "--rate-min", "0.1", "--rate-max", "0.3"],
     ),
 )
 def test_usage_errors_exit_2(argv):
@@ -644,6 +645,14 @@ def test_codebook_loader_rejects_garbage(tmp_path):
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=match):
             load_codebook(str(bad))
+
+
+def test_a_codebook_header_count_is_read_by_the_integer_rule(tmp_path):
+    path = tmp_path / "cb.txt"
+    path.write_text("# fblimits codebook v1\n# n=2 size=0 kind=random seed=0\n")
+    with pytest.raises(ValueError, match="malformed codebook header") as exc:
+        load_codebook(str(path))
+    assert str(exc.value.__cause__) == "size must be >= 1, got 0"
 
 
 def test_codebook_preserves_metadata_through_file(tmp_path):

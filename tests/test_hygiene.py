@@ -224,16 +224,21 @@ def _compare_homes(tree: ast.Module, name: str) -> list[str]:
 
 
 def test_each_refusal_has_one_home():
-    # montecarlo._hold owns the array cap, montecarlo._check_samples the
-    # sample count, ratefn._interior the open tilt interval, and cli.main's
-    # one try maps every I/O failure to exit 3.
+    # montecarlo._hold owns the array cap, spectra._integer every count and
+    # seed, ratefn._interior the open tilt interval, and cli.main's one try
+    # maps every I/O failure to exit 3.
     text = "".join(p.read_text() for p in sorted(SRC.glob("*.py")))
-    for phrase in ("cap of", "samples must be >=", "outside the open interval"):
+    for phrase in ("cap of", "must be an integer", "must be >= {least}", "outside the open interval"):
         assert text.count(phrase) == 1, phrase
+    assert "int(seed)" not in text
     assert (SRC / "cli.py").read_text().count("except OSError") == 1
     montecarlo = ast.parse((SRC / "montecarlo.py").read_text())
     assert _compare_homes(montecarlo, "_MAX_ENTRIES") == ["_hold"]
-    assert _compare_homes(montecarlo, "samples") == ["_check_samples"]
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for count in ("samples", "sizes", "node_count", "seed"):
+            assert _compare_homes(tree, count) == [], (path.name, count)
+    assert set(_compare_homes(ast.parse((SRC / "spectra.py").read_text()), "least")) == {"_integer"}
 
 
 def test_compare_homes_sees_nested_comparisons():

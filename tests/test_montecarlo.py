@@ -16,6 +16,7 @@ from fblimits import (
     BudgetError,
     Codebook,
     Estimate,
+    QuadratureConfig,
     ReliabilityError,
     SimConfig,
     c_rand_via_cdf,
@@ -188,6 +189,69 @@ def test_sim_config_validation():
         kwargs[field] = bad
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+
+LEVELS = [0.1, 0.5, 1.0]
+CFG = dict(n=4, m=2, r_fb=2, trials=2, seed=0)
+
+# Every count and seed in the package, one argument at a time.
+INTEGER_SITES = [
+    ("node_count", lambda v: QuadratureConfig(node_count=v)),
+    ("n", lambda v: sample_spectrum(v, 4, 0)),
+    ("m", lambda v: sample_spectrum(6, v, 0)),
+    ("seed", lambda v: sample_spectrum(6, 4, v)),
+    ("n", lambda v: random_codebook(v, 8, seed=0)),
+    ("size", lambda v: random_codebook(4, v, seed=0)),
+    ("seed", lambda v: random_codebook(4, 8, seed=v)),
+    ("n", lambda v: design_codebook(v, 4, seed=0, iterations=5)),
+    ("size", lambda v: design_codebook(4, v, seed=0, iterations=5)),
+    ("seed", lambda v: design_codebook(4, 4, seed=v, iterations=5)),
+    ("iterations", lambda v: design_codebook(4, 4, seed=0, iterations=v)),
+    *[(name, lambda v, name=name: SimConfig(**{**CFG, name: v})) for name in CFG],
+    ("r_fb", lambda v: c_rand_via_cdf(LEVELS, v, "min", 100, 0)),
+    ("r_fb", lambda v: uniform_codebook_bound(LEVELS, v, "max", 0, samples=100)),
+    ("samples", lambda v: simulate_c_cdf(SimConfig(**CFG), samples=v)),
+    ("samples", lambda v: conditional_cdf_mc(LEVELS, 0.3, v, 0)),
+    ("seed", lambda v: conditional_cdf_mc(LEVELS, 0.3, 100, v)),
+    ("samples", lambda v: conditional_cdf_tilted(LEVELS, 0.3, v, 0)),
+    ("samples", lambda v: quantile_x_n(LEVELS, 0.5, 0, samples=v)),
+    ("seed", lambda v: quantile_x_n(LEVELS, 0.5, v, samples=100)),
+    ("sizes", lambda v: ldp_rate_estimate(1.0, 0.5, [20, v], 100, 0)),
+    ("samples", lambda v: ldp_rate_estimate(1.0, 0.5, [20], v, 0)),
+    ("seed", lambda v: ldp_rate_estimate(1.0, 0.5, [20], 100, v)),
+]
+
+
+@pytest.mark.parametrize("value", [2.5, float("nan")], ids=["float", "nan"])
+@pytest.mark.parametrize("name, call", INTEGER_SITES,
+                         ids=[f"{i}-{name}" for i, (name, _) in enumerate(INTEGER_SITES)])
+def test_every_count_and_seed_refuses_a_non_integer(name, call, value):
+    # A float is refused, never truncated (100.5 samples drawing 100) or left to fail later unnamed.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        call(value)
+
+
+def test_numpy_integers_give_the_outputs_of_python_integers():
+    i = np.int64
+    for got, want in (
+        (random_codebook(i(4), i(8), seed=i(3)), random_codebook(4, 8, seed=3)),
+        (design_codebook(i(3), i(4), seed=i(2), iterations=i(20)),
+         design_codebook(3, 4, seed=2, iterations=20)),
+    ):
+        assert np.array_equal(got.vectors, want.vectors)
+        assert (got.n, got.seed) == (want.n, want.seed) and type(got.n) is type(got.seed) is int
+    spec = sample_spectrum(i(6), i(4), i(5))
+    assert np.array_equal(spec.eigenvalues, sample_spectrum(6, 4, 5).eigenvalues)
+    assert type(spec.n) is type(spec.m) is type(spec.seed) is int
+    cfg = SimConfig(**{k: i(v) for k, v in CFG.items()})
+    assert all(type(getattr(cfg, k)) is int for k in CFG)
+    assert simulate_c_direct(cfg) == simulate_c_direct(SimConfig(**CFG))
+    assert simulate_c_cdf(cfg, samples=i(500)) == simulate_c_cdf(SimConfig(**CFG), samples=500)
+    got = conditional_cdf_mc(LEVELS, 0.3, i(100), i(0))
+    assert got == conditional_cdf_mc(LEVELS, 0.3, 100, 0) and type(got) is float
+    assert (ldp_rate_estimate(1.0, 0.5, [i(20)], i(2000), i(1))
+            == ldp_rate_estimate(1.0, 0.5, [20], 2000, 1))
+    assert type(QuadratureConfig(node_count=i(64)).node_count) is int
 
 
 def test_direct_budget_refusal_points_at_cdf_route():

@@ -208,6 +208,20 @@ def test_shannon_integral_holds_where_its_terms_would_cancel(beta, z, expected):
     assert shannon_integral(z, mp_law(beta)) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("z", (1e-7, -1e-7, 3e-10, -3e-10))
+@pytest.mark.parametrize("beta", (0.01, 0.25, 1.0, 4.0, 100.0))
+def test_transforms_near_zero_follow_the_moment_series(z, beta):
+    # The law's moments are E[lam] = 1, E[lam^2] = 1 + beta, E[lam^3] = 1 + 3 beta + beta^2,
+    # so eta = z m1 - z^2 m2 + z^3 m3 and Shannon = z m1 - z^2 m2 / 2 + z^3 m3 / 3, up to
+    # a z^4 term below 1e-14 relative here.  (sqrt(rm) - sqrt(rp))^2 cancelled to 2e-5.
+    law = mp_law(beta)
+    m1, m2, m3 = 1.0, 1.0 + beta, 1.0 + 3.0 * beta + beta * beta
+    eta = z * m1 - z * z * m2 + z ** 3 * m3
+    shannon = z * m1 - z * z * m2 / 2.0 + z ** 3 * m3 / 3.0
+    assert eta_integral(z, law) == pytest.approx(eta, rel=1e-13, abs=0.0)
+    assert shannon_integral(z, law) == pytest.approx(shannon, rel=1e-13, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # optimal tilt
 
