@@ -51,11 +51,6 @@ class AsymptoticResult:
     branch_plus: str
 
 
-def _check_r(r: float) -> None:
-    if not (math.isfinite(r) and r >= 0.0):
-        raise ValueError(f"r must be finite and >= 0, got {r!r}")
-
-
 def thresholds(beta: float) -> tuple[float | None, float]:
     """Branch-switch rates (r_min, r_max).
 
@@ -71,11 +66,16 @@ def thresholds(beta: float) -> tuple[float | None, float]:
     )
 
 
-def _side(law: MpLaw, side: str) -> tuple[float, float]:
-    """Side sign s (-1 for 'minus', +1 for 'plus') and the edge there; the one reader of a name."""
+def _side(beta: float, r: float, side: str) -> tuple[MpLaw, float, float, float]:
+    """Law at beta, float r, side sign s (-1 minus, +1 plus) and edge; the one reader of all three."""
+    law = mp_law(beta)
+    r = float(r)
+    if not (math.isfinite(r) and r >= 0.0):
+        raise ValueError(f"r must be finite and >= 0, got {r!r}")
     if side not in ("minus", "plus"):
         raise ValueError(f"side must be 'minus' or 'plus', got {side!r}")
-    return (-1.0, law.lambda_t_minus) if side == "minus" else (1.0, law.lambda_plus)
+    s, edge = (-1.0, law.lambda_t_minus) if side == "minus" else (1.0, law.lambda_plus)
+    return law, r, s, edge
 
 
 def _fixed_point(beta: float, r: float, s: float) -> float:
@@ -97,14 +97,12 @@ def _fixed_point(beta: float, r: float, s: float) -> float:
 
 def _solve_x(beta: float, r: float, side: str) -> tuple[float, str]:
     """Level and branch on one side; the side sign s mirrors the explicit edge branch."""
-    law = mp_law(beta)
-    r_min, r_max = thresholds(beta)
-    _check_r(r)
-    s, edge = _side(law, side)
+    law, r, s, edge = _side(beta, r, side)
+    r_min, r_max = thresholds(law.beta)
     threshold = r_min if s < 0.0 else r_max
     if threshold is not None and r > threshold:
         return edge - s * math.exp(_edge_log_moment(law, s) - r * _LN2), "explicit"
-    return _fixed_point(beta, r, s), "fixed_point"
+    return _fixed_point(law.beta, r, s), "fixed_point"
 
 
 def solve_x_minus(beta: float, r: float) -> tuple[float, str]:
@@ -125,13 +123,13 @@ def solve_x_plus(beta: float, r: float) -> tuple[float, str]:
     return _solve_x(beta, r, "plus")
 
 
-def _substituted(beta: float, r: float, side: str, law: MpLaw, x: float) -> float:
+def _substituted(law: MpLaw, r: float, side: str, x: float) -> float:
     """Level x on one side, substituted back into the rate at zero.
 
     A residual beyond 1e-8 + |alpha*| ulp(x) raises ConsistencyError: the rate's
     slope in x is the optimal tilt alpha*, about 1e8 at r = 28.
     """
-    where = f"at beta={beta}, r={r}: {side}"
+    where = f"at beta={law.beta}, r={r}: {side}"
     try:
         point = rate_zero(RateContext(law, x))
     except (ValueError, QuadratureError, ConsistencyError) as exc:
@@ -150,13 +148,11 @@ def solve_x_by_rate(beta: float, r: float, side: str) -> float:
     edge, which keeps the search accurate when x is within rounding of it.
     Steps read the closed rate; the root is checked, and refused, as the explicit level is.
     """
-    law = mp_law(beta)
-    _check_r(r)
-    s, edge = _side(law, side)
+    law, r, s, edge = _side(beta, r, side)
     if r == 0.0:
         return 1.0  # the rate vanishes only at the mean, where no bracket changes sign
     target = r * _LN2
-    root = math.sqrt(beta)
+    root = math.sqrt(law.beta)
 
     def value_at(w: float) -> float:
         return _saddle(RateContext(law, edge - s * math.exp(w)))[1] - target
@@ -176,33 +172,33 @@ def solve_x_by_rate(beta: float, r: float, side: str) -> float:
     if w_lo < w_edge:
         w_lo = w_edge
         if value_at(w_lo) <= 0.0:
-            return _substituted(beta, r, side, law, edge - s * math.exp(w_lo))
+            return _substituted(law, r, side, edge - s * math.exp(w_lo))
     w_hi = math.log(abs(1.0 - edge)) - 1e-9  # just inside x = 1, where the rate is ~0
     # brentq evaluates both ends first and refuses a bracket without a sign change.
     w = brentq(value_at, w_lo, w_hi, xtol=1e-13, rtol=8.9e-16)
-    return _substituted(beta, r, side, law, edge - s * math.exp(w))
+    return _substituted(law, r, side, edge - s * math.exp(w))
 
 
 def _checked_level(beta: float, r: float, side: str) -> tuple[float, str]:
     """Level and branch on one side from the explicit formulas, then checked."""
-    law = mp_law(beta)
-    s, _ = _side(law, side)
-    x, branch = (solve_x_minus if s < 0.0 else solve_x_plus)(beta, r)
-    return _substituted(beta, r, side, law, x), branch
+    law, r, s, _ = _side(beta, r, side)
+    x, branch = (solve_x_minus if s < 0.0 else solve_x_plus)(law.beta, r)
+    return _substituted(law, r, side, x), branch
 
 
 def asymptotic_limits(beta: float, r: float) -> AsymptoticResult:
     """Solve and check both levels, lower first, and scale them into limits."""
-    x_minus, branch_minus = _checked_level(beta, r, "minus")
-    x_plus, branch_plus = _checked_level(beta, r, "plus")
-    r_min, r_max = thresholds(beta)
+    law, r, _, _ = _side(beta, r, "minus")
+    x_minus, branch_minus = _checked_level(law.beta, r, "minus")
+    x_plus, branch_plus = _checked_level(law.beta, r, "plus")
+    r_min, r_max = thresholds(law.beta)
     return AsymptoticResult(
-        beta=beta,
+        beta=law.beta,
         r=r,
         x_minus=x_minus,
         x_plus=x_plus,
-        c_min_limit=x_minus / beta,
-        c_max_limit=x_plus / beta,
+        c_min_limit=x_minus / law.beta,
+        c_max_limit=x_plus / law.beta,
         r_min=r_min,
         r_max=r_max,
         branch_minus=branch_minus,
@@ -216,6 +212,7 @@ def throughput(c: float, sigma2: float, mode: str) -> float:
     mode 'cdma_min': log(1 + 1/(sigma2 + c)), interference energy c.
     mode 'mimo_max': log(1 + c/sigma2), beamforming gain c.
     """
+    c, sigma2 = float(c), float(sigma2)
     if not (math.isfinite(c) and c >= 0.0):
         raise ValueError(f"c must be finite and >= 0, got {c!r}")
     if not (math.isfinite(sigma2) and sigma2 > 0.0):

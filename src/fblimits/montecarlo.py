@@ -540,7 +540,7 @@ def ldp_rate_estimate(beta: float, x: float, n_list, samples: int, seed: int) ->
     below the mean probe the lower tail; levels above it are handled by
     negating the spectrum, which swaps the tails.
     """
-    _ldp_law(beta, x)
+    beta = _ldp_law(beta, x).beta
     sizes = [_integer("sizes", n, 1) for n in n_list]
     samples = _integer("samples", samples, 2)
     out: list[tuple[int, float]] = []

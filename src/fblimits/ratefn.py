@@ -57,6 +57,7 @@ class RateContext:
     cfg: QuadratureConfig = DEFAULT_QUADRATURE
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "x", float(self.x))
         # Only a subnormal level next to the atom at zero overflows an interval end.
         lo, hi = self.law.lambda_t_minus, self.law.lambda_plus
         if not (lo < self.x < hi and all(map(math.isfinite, self.interval()))):
@@ -231,7 +232,8 @@ def _saddle(ctx: RateContext) -> tuple[float, float]:
     root = math.sqrt(law.beta)
     lo, hi = ctx.interval()
     s = 1.0 if x >= 1.0 else -1.0
-    if s * x >= s + root and (s > 0.0 or law.beta < 1.0):
+    # At beta >= 1 the lower test cannot hold: RateContext keeps x above 0 >= 1 - sqrt(beta).
+    if s * x >= s + root:
         end, edge = (hi, law.lambda_plus) if s > 0.0 else (lo, law.lambda_minus)
         return end, _edge_log_moment(law, s) - math.log(s * (edge - x))
     alpha = min(max((x - 1.0) / (law.beta * x), lo), hi)

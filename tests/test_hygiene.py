@@ -282,6 +282,13 @@ def test_each_limit_level_is_checked_in_one_place():
     assert _call_homes(limits, "rate_zero") == ["_substituted"]
 
 
+def test_beta_is_read_at_the_front_door():
+    # limits._side reads beta, r and a side name once for every level route, and
+    # thresholds reads beta alone; no other function reads beta around them.
+    limits = ast.parse((SRC / "limits.py").read_text())
+    assert sorted(_call_homes(limits, "mp_law")) == ["_side", "thresholds"]
+
+
 def test_each_limit_level_is_refused_in_one_place():
     # limits._substituted's one try holds RateContext and rate_zero, so their domain,
     # quadrature and rate-at-zero refusals all gain beta, r and the side.

@@ -1,5 +1,6 @@
 """Threshold formulas, level solvers, and throughput mappings."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,9 @@ from fblimits import (
     QuadratureError,
     RateContext,
     asymptotic_limits,
+    ldp_rate_estimate,
     mp_law,
+    rate_function,
     rate_zero,
     solve_x_by_rate,
     solve_x_minus,
@@ -558,3 +561,43 @@ def test_only_the_rate_inversion_answers_where_the_explicit_level_rounds_onto_th
     with pytest.raises(ValueError, match=f"^at beta={beta}, r={r}: {side} level:"):
         limits._checked_level(beta, r, side)
     assert solve_x_by_rate(beta, r, side) == math.nextafter(edge, 1.0)
+
+
+# (2.0, 0.5) and (1.7, 1.3) in float32 were once refused by the residual check.
+FLOAT_POINTS = ((2.0, 0.5), (1.7, 1.3), (0.25, 1.0))
+FLOAT_LEVELS = ((2.0, 0.5, 0.2), (0.25, 1.5, -0.3))  # beta, x, t
+FLOAT_CALLS = {
+    "asymptotic_limits": lambda f: [asymptotic_limits(f(b), f(r)) for b, r in FLOAT_POINTS],
+    "solve_x": lambda f: [(solve_x_minus(f(b), f(r)), solve_x_plus(f(b), f(r))) for b, r in FLOAT_POINTS],
+    "solve_x_by_rate": lambda f: [solve_x_by_rate(f(b), f(r), side)
+                                  for b, r in FLOAT_POINTS for side in ("minus", "plus")],
+    "thresholds": lambda f: [thresholds(f(b)) for b, _ in FLOAT_POINTS],
+    "rate_zero": lambda f: [rate_zero(RateContext(mp_law(f(b)), f(x))) for b, x, _ in FLOAT_LEVELS],
+    "rate_function": lambda f: [rate_function(RateContext(mp_law(f(b)), f(x)), f(t))
+                                for b, x, t in FLOAT_LEVELS],
+    "throughput": lambda f: [throughput(f(0.3), f(0.1), mode) for mode in ("cdma_min", "mimo_max")],
+    # In float32, n / beta at beta = 0.4 rounds n = 43 to m = 108 instead of 107.
+    "ldp_rate_estimate": lambda f: ldp_rate_estimate(f(0.4), f(0.5), [43, 47], 2000, 0),
+}
+NUMPY_FLOATS = {
+    "float32": np.float32,
+    "float16": np.float16,
+    "0d_array": lambda v: np.array(v, dtype=np.float32),
+}
+
+
+def _exact(value):
+    """value with every float as its hex, refused unless each field is a Python scalar."""
+    if dataclasses.is_dataclass(value):
+        return _exact(dataclasses.astuple(value))
+    if isinstance(value, (tuple, list)):
+        return [_exact(v) for v in value]
+    assert type(value) in (float, int, bool, str, type(None)), repr(value)
+    return value.hex() if type(value) is float else value
+
+
+@pytest.mark.parametrize("kind", NUMPY_FLOATS.values(), ids=NUMPY_FLOATS.keys())
+@pytest.mark.parametrize("call", FLOAT_CALLS.values(), ids=FLOAT_CALLS.keys())
+def test_numpy_floats_give_the_results_of_the_equal_python_floats(call, kind):
+    # beta, r, x, t, c and sigma2 are each read as the Python float they hold.
+    assert _exact(call(kind)) == _exact(call(lambda v: float(kind(v))))
